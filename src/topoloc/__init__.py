@@ -56,9 +56,6 @@ from .motion import (
     MotionParams,
     TransitionModel,
     build_transition_model,
-    edge_distances,
-    off_map_transition,
-    transition_row,
 )
 from .simulate import (
     Detour,
@@ -125,7 +122,6 @@ __all__ = [
     "compose",
     "convergence_score",
     "decide",
-    "edge_distances",
     "forward_init",
     "forward_step",
     "generate_world",
@@ -138,7 +134,6 @@ __all__ = [
     "min_mahalanobis_on_segment",
     "min_mahalanobis_on_segments",
     "noiseless_scenario",
-    "off_map_transition",
     "order_stat_k",
     "recall_at_precision",
     "relative",

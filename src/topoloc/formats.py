@@ -28,6 +28,7 @@ Readers validate strictly and raise ``DataError`` on any malformed input.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -129,9 +130,12 @@ def _floats(values, n: int, where: str) -> list[float]:
     if not isinstance(values, list) or len(values) != n:
         raise DataError(f"{where}: expected a list of {n} numbers")
     try:
-        return [float(v) for v in values]
+        out = [float(v) for v in values]
     except (TypeError, ValueError) as exc:
         raise DataError(f"{where}: expected a list of {n} numbers") from exc
+    if not all(math.isfinite(v) for v in out):
+        raise DataError(f"{where}: expected finite numbers, got {out}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,11 @@ def min_mahalanobis_on_segments(
     the 1-D quadratic, clamped to ``[0, 1]``; rows whose endpoints coincide
     to within 1e-12 degenerate to the point distance at ``s = 0``.
 
+    This is :func:`segment_directions` (which depends on the segments only)
+    followed by :func:`min_mahalanobis_on_directed_segments` (which depends
+    on the query); callers scoring many queries against fixed segments call
+    the two parts themselves and keep the first part's result.
+
     Parameters
     ----------
     lo, hi : ndarray, shape (K, 3)
@@ -233,16 +238,39 @@ def min_mahalanobis_on_segments(
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    if lo.ndim != 2 or lo.shape[1] != 3 or lo.shape != hi.shape:
+        raise ValueError("segment endpoint arrays must both have shape (K, 3)")
+    u, degenerate = segment_directions(lo, hi)
+    return min_mahalanobis_on_directed_segments(lo, u, degenerate, mu, sigma)
+
+
+def segment_directions(lo: np.ndarray, hi: np.ndarray):
+    """Direction ``hi - lo`` of each segment, angle wrapped, and its degeneracy.
+
+    Returns ``(u, degenerate)``: ``u`` of shape ``(K, 3)`` with the angular
+    component wrapped to ``(-pi, pi]``, and the ``(K,)`` mask of rows whose
+    endpoints coincide to within 1e-12.
+    """
+    u = hi - lo
+    u[:, 2] = wrap_angle(hi[:, 2] - lo[:, 2])
+    degenerate = np.max(np.abs(u), axis=1) < _DEGENERATE_SEGMENT_TOL
+    return u, degenerate
+
+
+def min_mahalanobis_on_directed_segments(
+    lo: np.ndarray, u: np.ndarray, degenerate: np.ndarray, mu, sigma: Covariance3
+):
+    """The query-dependent part of :func:`min_mahalanobis_on_segments`.
+
+    ``u`` and ``degenerate`` are :func:`segment_directions` of the segments
+    starting at ``lo``; returns the same ``(d2, s)`` pair.
+    """
     if isinstance(mu, Pose2):
         mu = mu.as_array()
     mu = np.asarray(mu, dtype=float)
-    if lo.ndim != 2 or lo.shape[1] != 3 or lo.shape != hi.shape:
-        raise ValueError("segment endpoint arrays must both have shape (K, 3)")
     if mu.shape != (3,):
         raise ValueError("mu must be a single pose")
 
-    u = hi - lo
-    u[:, 2] = wrap_angle(hi[:, 2] - lo[:, 2])
     r0 = mu[None, :] - lo
     r0[:, 2] = wrap_angle(mu[2] - lo[:, 2])
 
@@ -250,7 +278,6 @@ def min_mahalanobis_on_segments(
     u_prec = u @ prec
     denom = np.einsum("ij,ij->i", u_prec, u)
     num = np.einsum("ij,ij->i", u_prec, r0)
-    degenerate = np.max(np.abs(u), axis=1) < _DEGENERATE_SEGMENT_TOL
     safe_denom = np.where(degenerate, 1.0, denom)
     s = np.clip(num / safe_denom, 0.0, 1.0)
     s = np.where(degenerate, 0.0, s)

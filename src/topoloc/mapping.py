@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .geometry import Pose2, compose, wrap_angle
+from .geometry import Pose2, compose, segment_directions, wrap_angle
 from .traverse import Traverse
 
 
@@ -189,6 +189,28 @@ class TopometricMap:
         Rows where ``valid`` is False hold NaN.
         """
         return self._segment_table
+
+    @cached_property
+    def edge_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Map-only inputs of the motion model, computed once per map.
+
+        ``(starts, u, degenerate, valid)``: the segment table's low endpoints
+        flattened to ``((window-1) * N, 3)`` with NaN replaced by zero, their
+        :func:`~topoloc.geometry.segment_directions` (``u`` and the
+        degenerate mask), and the ``(window, N)`` edge-validity mask of a
+        transition model, where slot ``[k, i]`` covers ``i -> i + k`` and
+        offset 0 holds only the final node's self-transition.
+        """
+        lo, hi, seg_valid = self._segment_table
+        n, w = self.n_nodes, self.window
+        starts = np.nan_to_num(lo.reshape(-1, 3))
+        u, degenerate = segment_directions(starts, np.nan_to_num(hi.reshape(-1, 3)))
+        valid = np.zeros((w, n), dtype=bool)
+        valid[0, n - 1] = True
+        valid[1:, :] = seg_valid
+        for arr in (starts, u, degenerate, valid):
+            arr.setflags(write=False)
+        return starts, u, degenerate, valid
 
     def _check_node(self, i: int):
         if not 0 <= i < self.n_nodes:

@@ -24,19 +24,16 @@ Modes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    Covariance3,
     OdometryStep,
     Pose2,
     chi2_cdf_3,
     mahalanobis_sq,
-    min_mahalanobis_on_segment,
-    min_mahalanobis_on_segments,
+    min_mahalanobis_on_directed_segments,
 )
 from .mapping import TopometricMap
 
@@ -46,9 +43,6 @@ __all__ = [
     "OdometryStep",
     "TransitionModel",
     "build_transition_model",
-    "edge_distances",
-    "off_map_transition",
-    "transition_row",
 ]
 
 MOTION_MODES = ("full", "no_off", "no_odom")
@@ -141,51 +135,39 @@ class TransitionModel:
             if self.valid[k, i]
         ]
 
-    def propagate(self, alpha: np.ndarray, counter: dict | None = None) -> np.ndarray:
+    def propagate(self, alpha: np.ndarray) -> np.ndarray:
         """Row-vector product ``alpha @ E`` over the banded structure.
 
-        ``alpha`` has length ``N + 1`` with the off-map entry last.  When a
-        ``counter`` dict is given, the number of touched transition entries
-        is accumulated under ``"touched"`` (an O(N * window) probe).
+        ``alpha`` has length ``N + 1`` with the off-map entry last.
         """
         n = self.n_nodes
         if alpha.shape != (n + 1,):
             raise ValueError(f"alpha must have shape ({n + 1},)")
         pred = np.zeros(n + 1)
-        touched = 0
         within = alpha[:n]
         for k in range(min(self.window, n)):
             if k == 0:
                 pred[:n] += within * self.within_probs[0]
             else:
                 pred[k:n] += within[: n - k] * self.within_probs[k, : n - k]
-            touched += n - k
         pred[:n] += alpha[n] * self.off_out
         pred[n] = within @ self.to_off + alpha[n] * self.off_self
-        touched += 2 * n + 1
-        if counter is not None:
-            counter["touched"] = counter.get("touched", 0) + touched
         return pred
 
-    def backpropagate(self, v: np.ndarray, counter: dict | None = None) -> np.ndarray:
+    def backpropagate(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product ``E @ v`` over the banded structure."""
         n = self.n_nodes
         if v.shape != (n + 1,):
             raise ValueError(f"v must have shape ({n + 1},)")
         out = np.zeros(n + 1)
-        touched = 0
         v_within = v[:n]
         for k in range(min(self.window, n)):
             if k == 0:
                 out[:n] += self.within_probs[0] * v_within
             else:
                 out[: n - k] += self.within_probs[k, : n - k] * v_within[k:]
-            touched += n - k
         out[:n] += self.to_off * v[n]
         out[n] = self.off_self * v[n] + self.off_out * v_within.sum()
-        touched += 2 * n + 1
-        if counter is not None:
-            counter["touched"] = counter.get("touched", 0) + touched
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -202,54 +184,6 @@ class TransitionModel:
         return dense
 
 
-def edge_distances(
-    map_: TopometricMap, i: int, odom: OdometryStep
-) -> list[tuple[int, float]]:
-    """Per-edge squared Mahalanobis fits of the odometry step at node ``i``.
-
-    Returns ``(j, d2)`` for each outgoing edge ``i -> j`` in ascending ``j``;
-    empty for the final node.
-    """
-    out = []
-    last = min(i + map_.window - 1, map_.n_nodes - 1)
-    for j in range(i + 1, last + 1):
-        lo, hi = map_.segment_endpoints(i, j)
-        d2, _ = min_mahalanobis_on_segment(lo, hi, odom.mean, odom.cov)
-        out.append((j, d2))
-    return out
-
-
-def off_map_transition(d2s) -> float:
-    """Off-map transition probability from a node's edge distances.
-
-    ``chi2_cdf_3`` of the best (smallest) ``d2``: if even the best edge is an
-    improbably bad fit for the measured motion, the robot likely left the map.
-    """
-    values = [d2 for _, d2 in d2s] if d2s and isinstance(d2s[0], tuple) else list(d2s)
-    if not values:
-        raise ValueError("off_map_transition requires at least one edge distance")
-    return chi2_cdf_3(min(values))
-
-
-def transition_row(
-    d2s: list[tuple[int, float]], p_off: float
-) -> list[tuple[int, float]]:
-    """Within-map transition probabilities from edge distances.
-
-    Softmax of ``-d2 / 2`` over the row (computed with max-subtraction),
-    scaled by ``1 - p_off``.
-    """
-    if not d2s:
-        raise ValueError("transition_row requires at least one edge distance")
-    if not 0.0 <= p_off <= 1.0:
-        raise ValueError("p_off must lie in [0, 1]")
-    x = np.array([-0.5 * d2 for _, d2 in d2s])
-    x -= x.max()
-    weights = np.exp(x)
-    probs = weights / weights.sum() * (1.0 - p_off)
-    return [(j, float(p)) for (j, _), p in zip(d2s, probs)]
-
-
 def build_transition_model(
     map_: TopometricMap, odom: OdometryStep | None, params: MotionParams
 ) -> TransitionModel:
@@ -260,11 +194,8 @@ def build_transition_model(
     stay-in-place hypothesis (a degenerate segment at the identity pose) and
     keeps its within-map mass on itself.
     """
-    n, w = map_.n_nodes, map_.window
-    valid = np.zeros((w, n), dtype=bool)
-    valid[0, n - 1] = True
-    _, _, seg_valid = map_.segment_table()
-    valid[1:, :] = seg_valid
+    n = map_.n_nodes
+    starts, u, degenerate, valid = map_.edge_geometry
 
     if params.mode == "no_odom":
         to_off = np.full(n, params.no_odom_off)
@@ -275,7 +206,12 @@ def build_transition_model(
     if odom is None:
         raise ValueError(f"mode {params.mode!r} requires an odometry step")
 
-    d2_all = _edge_distance_table(map_, odom, valid)
+    d2, _ = min_mahalanobis_on_directed_segments(
+        starts, u, degenerate, odom.mean, odom.cov
+    )
+    d2_all = np.full(valid.shape, np.inf)
+    d2_all[1:] = np.where(valid[1:], d2.reshape(-1, n), np.inf)
+    d2_all[0, n - 1] = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
     min_d2 = d2_all.min(axis=0)
     if params.mode == "no_off":
         to_off = np.zeros(n)
@@ -288,22 +224,3 @@ def build_transition_model(
         weights = np.where(valid, np.exp(x), 0.0)
     probs = weights / weights.sum(axis=0)[None, :] * (1.0 - to_off)[None, :]
     return TransitionModel(probs, to_off, params.off_self, valid)
-
-
-def _edge_distance_table(
-    map_: TopometricMap, odom: OdometryStep, valid: np.ndarray
-) -> np.ndarray:
-    """Squared Mahalanobis distances for every stored edge, +inf off the set."""
-    n, w = map_.n_nodes, map_.window
-    lo, hi, seg_valid = map_.segment_table()
-    d2_flat, _ = min_mahalanobis_on_segments(
-        np.nan_to_num(lo.reshape(-1, 3)),
-        np.nan_to_num(hi.reshape(-1, 3)),
-        odom.mean,
-        odom.cov,
-    )
-    d2 = d2_flat.reshape(w - 1, n)
-    d2_all = np.full((w, n), np.inf)
-    d2_all[1:, :][seg_valid] = d2[seg_valid]
-    d2_all[0, n - 1] = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
-    return d2_all

@@ -30,7 +30,7 @@ from .filtering import (
 )
 from .mapping import TopometricMap
 from .measurement import MeasurementParams, calibrate_lambda, likelihood_vector
-from .motion import MotionParams, build_transition_model
+from .motion import MotionParams, TransitionModel, build_transition_model
 from .traverse import Traverse
 
 __all__ = [
@@ -165,6 +165,24 @@ def run_wakeup(
     ``max_steps`` updates, or at the end of the traverse, whichever comes
     first.  Frames beyond ``start + max_steps`` are never read.
     """
+    return _wakeup_trial(map_, query, start, max_steps, params, trial, {})
+
+
+def _wakeup_trial(
+    map_: TopometricMap,
+    query: Traverse,
+    start: int,
+    max_steps: int,
+    params: PipelineParams,
+    trial: int,
+    models: dict[int, TransitionModel],
+) -> WakeupResult:
+    """:func:`run_wakeup`, reading and filling the model cache ``models``.
+
+    ``models`` maps a frame index to that frame's transition model; a frame
+    missing from it is built and added.  Likelihoods are not shared, since
+    the kernel rate is calibrated on each trial's own start frame.
+    """
     if query.descriptor_dim != map_.descriptor_dim:
         raise DataError("descriptor dimension mismatch between query and map")
     if not 0 <= start < len(query) - 1:
@@ -184,7 +202,9 @@ def run_wakeup(
     last = min(start + max_steps, len(query) - 1)
     for t in range(start + 1, last + 1):
         frame = query.frames[t]
-        model = build_transition_model(map_, frame.odom, params.motion)
+        model = models.get(t)
+        if model is None:
+            model = models[t] = build_transition_model(map_, frame.odom, params.motion)
         g = likelihood_vector(frame.descriptor, map_, meas)
         alpha, _ = forward_step(alpha, model, g)
         steps_used = t - start
@@ -218,13 +238,28 @@ def run_wakeup_batch(
 
     The start set is a pure function of ``seed`` and the traverse length, so
     different methods evaluated with the same seed face identical starts.
-    Trials are returned in trial order.
+    Each result equals :func:`run_wakeup` of its start and trial index.
+
+    The trials run in ascending order of start frame (ties in trial order)
+    and share the transition models of the frames they cover.  A frame's
+    model is built the first time a trial steps onto it and dropped when a
+    trial starts at or after it, so each frame's model is built at most once
+    per batch and at most ``max_steps`` models are held at a time.  Results
+    are returned in trial order.
     """
     if n_trials < 1:
         raise DataError("n_trials must be at least 1")
+    if len(query) < 2:
+        raise DataError("wakeup needs a query of at least 2 frames")
     rng = np.random.default_rng([int(seed), 2])
     starts = rng.integers(0, len(query) - 1, size=n_trials)
-    return [
-        run_wakeup(map_, query, int(s), max_steps, params, trial=i)
-        for i, s in enumerate(starts)
-    ]
+    results: list[WakeupResult | None] = [None] * n_trials
+    models: dict[int, TransitionModel] = {}
+    for i in np.argsort(starts, kind="stable"):
+        start = int(starts[i])
+        for t in [t for t in models if t <= start]:
+            del models[t]
+        results[i] = _wakeup_trial(
+            map_, query, start, max_steps, params, int(i), models
+        )
+    return results

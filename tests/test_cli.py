@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ def test_degenerate_likelihood_exits_4(tmp_path):
                  "--query", str(tmp_path / "q.jsonl"),
                  "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg)])
     assert code == 4
+
+
+@pytest.mark.parametrize("field", [0, 2], ids=["dx", "dtheta"])
+def test_nan_odometry_exits_3(tmp_path, smoke_dir, field):
+    data = smoke_dir / "data"
+    lines = (data / "query.jsonl").read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["odom"]["mean"][field] = float("nan")
+    lines[5] = json.dumps(rec)
+    (tmp_path / "q.jsonl").write_text("\n".join(lines) + "\n")
+    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
+    code = main(["lcd", "--map", str(data / "map.json"),
+                 "--query", str(tmp_path / "q.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 3
 
 
 def test_lcd_then_eval_chain(tmp_path, smoke_dir, capsys):

@@ -3,16 +3,50 @@
 import numpy as np
 import pytest
 
-from topoloc.geometry import Covariance3, OdometryStep, Pose2, chi2_cdf_3
-from topoloc.mapping import TopometricMap
-from topoloc.motion import (
-    MotionParams,
-    TransitionModel,
-    build_transition_model,
-    edge_distances,
-    off_map_transition,
-    transition_row,
+from topoloc.geometry import (
+    Covariance3,
+    OdometryStep,
+    Pose2,
+    chi2_cdf_3,
+    min_mahalanobis_on_directed_segments,
+    min_mahalanobis_on_segment,
+    min_mahalanobis_on_segments,
+    relative,
 )
+from topoloc.mapping import TopometricMap
+from topoloc.motion import MotionParams, TransitionModel, build_transition_model
+
+
+# Scalar, one-node-at-a-time forms of what build_transition_model computes
+# for the whole map at once; the vectorized builder is checked against them.
+
+
+def edge_distances(map_, i, odom):
+    """``(j, d2)`` for each outgoing edge ``i -> j`` in ascending ``j``."""
+    out = []
+    last = min(i + map_.window - 1, map_.n_nodes - 1)
+    for j in range(i + 1, last + 1):
+        lo, hi = map_.segment_endpoints(i, j)
+        d2, _ = min_mahalanobis_on_segment(lo, hi, odom.mean, odom.cov)
+        out.append((j, d2))
+    return out
+
+
+def off_map_transition(d2s):
+    """``chi2_cdf_3`` of the best edge distance; plain floats or ``(j, d2)`` pairs."""
+    values = [d2 for _, d2 in d2s] if d2s and isinstance(d2s[0], tuple) else list(d2s)
+    if not values:
+        raise ValueError("off_map_transition requires at least one edge distance")
+    return chi2_cdf_3(min(values))
+
+
+def transition_row(d2s, p_off):
+    """Softmax of ``-d2 / 2`` over the row, scaled by ``1 - p_off``."""
+    x = np.array([-0.5 * d2 for _, d2 in d2s])
+    x -= x.max()
+    weights = np.exp(x)
+    probs = weights / weights.sum() * (1.0 - p_off)
+    return [(j, float(p)) for (j, _), p in zip(d2s, probs)]
 
 
 def line_map(n=12, spacing=2.0, window=5):
@@ -157,12 +191,42 @@ def test_propagate_agrees_with_dense_product():
     assert np.allclose(model.backpropagate(v), dense @ v, atol=1e-12)
 
 
-def test_propagate_touches_band_not_square():
-    m = line_map(n=50, window=5)
+def test_model_stores_band_not_square():
+    n, window = 50, 5
+    m = line_map(n=n, window=window)
     model = build_transition_model(m, step(2.0), MotionParams())
-    counter = {}
-    model.propagate(np.full(51, 1.0 / 51.0), counter=counter)
-    assert counter["touched"] < 50 * 10  # far below the dense 51*51
+    assert model.within_probs.shape == (window, n)
+    assert model.valid.shape == (window, n)
+    assert model.valid.sum() <= n * window  # far below the dense 51*51
+
+
+def test_cached_edge_geometry_matches_raw_segment_kernel():
+    # headings near +-pi exercise the angle wrap, a repeated pose gives
+    # degenerate segments, and the last nodes leave a NaN tail in the table
+    poses = [(0.0, 0.0, 3.0), (2.0, 0.1, 3.1), (4.0, 0.2, -3.1), (4.0, 0.2, -3.1),
+             (4.0, 0.2, -3.1), (6.0, 0.0, -3.0), (8.0, 0.0, 3.1), (10.0, 0.5, 0.0)]
+    n, window = len(poses), 4
+    band = np.full((n, window, 3), np.nan)
+    band[:, 0, :] = 0.0
+    for i in range(n):
+        for k in range(1, min(window, n - i)):
+            band[i, k] = relative(Pose2(*poses[i]), Pose2(*poses[i + k])).as_array()
+    m = TopometricMap(np.eye(n, dtype=np.float32), band, 2.0)
+    lo, hi, seg_valid = m.segment_table()
+    starts, u, degenerate, valid = m.edge_geometry
+    assert not seg_valid.all() and np.isnan(lo[~seg_valid]).all()
+    assert degenerate[seg_valid.reshape(-1)].any()
+    assert valid[1:].tolist() == seg_valid.tolist()
+    assert valid[0].tolist() == [False] * (n - 1) + [True]
+    raw_lo = np.nan_to_num(lo.reshape(-1, 3))
+    raw_hi = np.nan_to_num(hi.reshape(-1, 3))
+    for odom in (step(2.0), step(0.0, 0.0, 0.0), step(4.1, -0.3, 3.1), step(1.0, 2.0, -2.0)):
+        d2_raw, s_raw = min_mahalanobis_on_segments(raw_lo, raw_hi, odom.mean, odom.cov)
+        d2, s = min_mahalanobis_on_directed_segments(
+            starts, u, degenerate, odom.mean, odom.cov
+        )
+        assert np.array_equal(d2, d2_raw)
+        assert np.array_equal(s, s_raw)
 
 
 def test_transition_model_validation():

@@ -1,5 +1,7 @@
 """The two end-to-end harnesses: loop-closure detection and wakeup."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from topoloc.tasks import (
     run_wakeup,
     run_wakeup_batch,
 )
+from topoloc.traverse import Traverse
 
 # one small rendered scenario shared by most tests in this module
 _spec = noiseless_scenario()
@@ -104,6 +107,8 @@ def test_wakeup_validates_start():
         run_wakeup(_map, _query, -1, 5, _params)
     with pytest.raises(DataError):
         run_wakeup(_map, _query, 0, 0, _params)
+    with pytest.raises(DataError):
+        run_wakeup_batch(_map, Traverse(_query.frames[:1]), 3, 0, 5, _params)
 
 
 def test_wakeup_batch_deterministic_and_ordered():
@@ -113,6 +118,41 @@ def test_wakeup_batch_deterministic_and_ordered():
     assert [r.trial for r in a] == list(range(25))
     c = run_wakeup_batch(_map, _query, 25, 43, 12, _params)
     assert [r.start for r in a] != [r.start for r in c]
+
+
+def test_wakeup_batch_equals_single_trials():
+    # many trials on a short route: overlapping windows and repeated starts
+    n_trials, max_steps = 120, 6
+    batch = run_wakeup_batch(_map, _query, n_trials, 7, max_steps, _params)
+    starts = [r.start for r in batch]
+    assert len(set(starts)) < n_trials
+    assert 0 < sum(r.converged for r in batch) < n_trials
+    singles = [
+        run_wakeup(_map, _query, s, max_steps, _params, trial=i)
+        for i, s in enumerate(starts)
+    ]
+    assert batch == singles
+
+
+def test_wakeup_batch_builds_each_frame_once(monkeypatch):
+    import topoloc.tasks as tasks_mod
+
+    built = collections.Counter()
+    original = tasks_mod.build_transition_model
+
+    def counting(map_, odom, params):
+        built[id(odom)] += 1
+        return original(map_, odom, params)
+
+    monkeypatch.setattr(tasks_mod, "build_transition_model", counting)
+    batch = run_wakeup_batch(_map, _query, 120, 7, 6, _params)
+    covered = {
+        id(_query.frames[t].odom)
+        for r in batch
+        for t in range(r.start + 1, r.start + r.steps_used + 1)
+    }
+    assert set(built) == covered
+    assert max(built.values()) == 1
 
 
 def test_wakeup_batch_starts_cover_route():
