@@ -44,7 +44,7 @@ from .geometry import (
     relative,
     wrap_angle,
 )
-from .mapping import MapNode, TopometricMap, build_map
+from .mapping import TopometricMap, build_map
 from .measurement import (
     MeasurementParams,
     calibrate_lambda,
@@ -97,7 +97,6 @@ __all__ = [
     "LcdResult",
     "MOTION_MODES",
     "MapConfig",
-    "MapNode",
     "MeasurementDegenerateError",
     "MeasurementParams",
     "MotionParams",

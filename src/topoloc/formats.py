@@ -166,9 +166,12 @@ def read_descriptor_matrix(path) -> np.ndarray:
             f"{path}: size mismatch, header says {rows}x{cols} "
             f"({expected} bytes) but file has {len(data)}"
         )
-    return np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, cols).astype(
+    out = np.frombuffer(data, dtype="<f4", offset=16).reshape(rows, cols).astype(
         np.float32
     )
+    if not np.isfinite(out).all():
+        raise DataError(f"{path}: descriptor matrix holds a non-finite value")
+    return out
 
 
 def descriptor_sidecar(path) -> Path:

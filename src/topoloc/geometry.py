@@ -217,8 +217,8 @@ def min_mahalanobis_on_segments(
 
     This is :func:`segment_directions` (which depends on the segments only)
     followed by :func:`min_mahalanobis_on_directed_segments` (which depends
-    on the query); callers scoring many queries against fixed segments call
-    the two parts themselves and keep the first part's result.
+    on the query), both on the transposed ``(3, K)`` layout; callers scoring
+    many queries against fixed segments keep the first part's result.
 
     Parameters
     ----------
@@ -240,20 +240,21 @@ def min_mahalanobis_on_segments(
     hi = np.asarray(hi, dtype=float)
     if lo.ndim != 2 or lo.shape[1] != 3 or lo.shape != hi.shape:
         raise ValueError("segment endpoint arrays must both have shape (K, 3)")
-    u, degenerate = segment_directions(lo, hi)
-    return min_mahalanobis_on_directed_segments(lo, u, degenerate, mu, sigma)
+    u, degenerate = segment_directions(lo.T, hi.T)
+    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, sigma)
 
 
 def segment_directions(lo: np.ndarray, hi: np.ndarray):
     """Direction ``hi - lo`` of each segment, angle wrapped, and its degeneracy.
 
-    Returns ``(u, degenerate)``: ``u`` of shape ``(K, 3)`` with the angular
-    component wrapped to ``(-pi, pi]``, and the ``(K,)`` mask of rows whose
+    ``lo`` and ``hi`` hold one segment per column, shape ``(3, K)``.  Returns
+    ``(u, degenerate)``: ``u`` of shape ``(3, K)`` with the angular row
+    wrapped to ``(-pi, pi]``, and the ``(K,)`` mask of segments whose
     endpoints coincide to within 1e-12.
     """
     u = hi - lo
-    u[:, 2] = wrap_angle(hi[:, 2] - lo[:, 2])
-    degenerate = np.max(np.abs(u), axis=1) < _DEGENERATE_SEGMENT_TOL
+    u[2] = wrap_angle(u[2])
+    degenerate = np.max(np.abs(u), axis=0) < _DEGENERATE_SEGMENT_TOL
     return u, degenerate
 
 
@@ -262,8 +263,9 @@ def min_mahalanobis_on_directed_segments(
 ):
     """The query-dependent part of :func:`min_mahalanobis_on_segments`.
 
-    ``u`` and ``degenerate`` are :func:`segment_directions` of the segments
-    starting at ``lo``; returns the same ``(d2, s)`` pair.
+    ``lo`` holds the segment starts as columns, shape ``(3, K)``, and ``u``,
+    ``degenerate`` are their :func:`segment_directions`; each row is then one
+    contiguous pass.  Returns the ``(K,)`` pair ``(d2, s)``.
     """
     if isinstance(mu, Pose2):
         mu = mu.as_array()
@@ -271,19 +273,18 @@ def min_mahalanobis_on_directed_segments(
     if mu.shape != (3,):
         raise ValueError("mu must be a single pose")
 
-    r0 = mu[None, :] - lo
-    r0[:, 2] = wrap_angle(mu[2] - lo[:, 2])
-
     prec = sigma.precision
-    u_prec = u @ prec
-    denom = np.einsum("ij,ij->i", u_prec, u)
-    num = np.einsum("ij,ij->i", u_prec, r0)
-    safe_denom = np.where(degenerate, 1.0, denom)
-    s = np.clip(num / safe_denom, 0.0, 1.0)
-    s = np.where(degenerate, 0.0, s)
-    r = r0 - s[:, None] * u
-    d2 = np.einsum("ij,ij->i", r @ prec, r)
-    return np.maximum(d2, 0.0), s
+    r = mu[:, None] - lo
+    r[2] = wrap_angle(r[2])
+    pu = prec @ u
+    denom = np.einsum("ik,ik->k", pu, u)
+    num = np.einsum("ik,ik->k", pu, r)
+    s = num / np.where(degenerate, 1.0, denom)
+    np.clip(s, 0.0, 1.0, out=s)
+    s[degenerate] = 0.0
+    r -= s * u
+    d2 = np.einsum("ik,ik->k", prec @ r, r)
+    return np.maximum(d2, 0.0, out=d2), s
 
 
 def min_mahalanobis_on_segment(

@@ -9,7 +9,6 @@ j - i < window}``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -17,15 +16,6 @@ import numpy as np
 from .errors import DataError
 from .geometry import Pose2, compose, segment_directions, wrap_angle
 from .traverse import Traverse
-
-
-@dataclass(frozen=True, eq=False)
-class MapNode:
-    """A single place: index, appearance descriptor, optional global pose."""
-
-    index: int
-    descriptor: np.ndarray
-    gt_pose: Pose2 | None = None
 
 
 class TopometricMap:
@@ -98,18 +88,6 @@ class TopometricMap:
     @property
     def descriptor_dim(self) -> int:
         return self.descriptors.shape[1]
-
-    @cached_property
-    def nodes(self) -> list[MapNode]:
-        gt = self.gt_poses
-        return [
-            MapNode(
-                i,
-                self.descriptors[i],
-                Pose2(*gt[i]) if gt is not None else None,
-            )
-            for i in range(self.n_nodes)
-        ]
 
     @cached_property
     def descriptors_f64(self) -> np.ndarray:
@@ -194,17 +172,25 @@ class TopometricMap:
     def edge_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Map-only inputs of the motion model, computed once per map.
 
-        ``(starts, u, degenerate, valid)``: the segment table's low endpoints
-        flattened to ``((window-1) * N, 3)`` with NaN replaced by zero, their
-        :func:`~topoloc.geometry.segment_directions` (``u`` and the
-        degenerate mask), and the ``(window, N)`` edge-validity mask of a
-        transition model, where slot ``[k, i]`` covers ``i -> i + k`` and
-        offset 0 holds only the final node's self-transition.
+        ``(starts, u, degenerate, valid)``.  ``starts`` and ``u`` are the
+        segment starts and wrapped directions as contiguous ``(3, (window-1)
+        * N + 1)`` arrays, the layout of
+        :func:`~topoloc.geometry.min_mahalanobis_on_directed_segments`.
+        Column ``(k-1) * N + i`` is the segment table's edge ``i -> i + k``
+        (NaN replaced by zero); the last column is the final node's
+        stay-in-place hypothesis, a degenerate segment at the identity pose,
+        so one kernel call scores every edge.  ``degenerate`` masks the
+        zero-length columns, and ``valid`` is the ``(window, N)`` edge mask of
+        a transition model: slot ``[k, i]`` covers ``i -> i + k``, and offset
+        0 holds only the final node's self-transition.
         """
         lo, hi, seg_valid = self._segment_table
         n, w = self.n_nodes, self.window
-        starts = np.nan_to_num(lo.reshape(-1, 3))
-        u, degenerate = segment_directions(starts, np.nan_to_num(hi.reshape(-1, 3)))
+        starts = np.zeros((3, (w - 1) * n + 1))
+        ends = np.zeros_like(starts)
+        starts[:, :-1] = np.nan_to_num(lo.reshape(-1, 3)).T
+        ends[:, :-1] = np.nan_to_num(hi.reshape(-1, 3)).T
+        u, degenerate = segment_directions(starts, ends)
         valid = np.zeros((w, n), dtype=bool)
         valid[0, n - 1] = True
         valid[1:, :] = seg_valid

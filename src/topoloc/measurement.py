@@ -17,7 +17,11 @@ import numpy as np
 
 from .mapping import TopometricMap
 
-__all__ = ["MeasurementParams", "calibrate_lambda", "likelihood_vector", "order_stat_k"]
+__all__ = [
+    "MeasurementParams", "calibrate_lambda", "descriptor_distances",
+    "lambda_from_distances", "likelihood_vector", "likelihoods_from_distances",
+    "order_stat_k",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +55,11 @@ def order_stat_k(n_nodes: int, params: MeasurementParams) -> int:
     return min(n_nodes, max(math.ceil(params.k_frac * n_nodes), params.k_min))
 
 
-def _distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
+def descriptor_distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
+    """Distances ``||z - z_v||`` to every node: the measurement's ``N x d`` pass.
+
+    Callers scoring one frame under several kernel rates compute it once.
+    """
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if z.size != map_.descriptor_dim:
         raise ValueError(
@@ -66,9 +74,13 @@ def calibrate_lambda(z0: np.ndarray, map_: TopometricMap, rho: float) -> float:
     ``lam = ln(rho) / (d_mean - d_min)``; a degenerate spread (below 1e-9)
     falls back to ``lam = 1``.
     """
+    return lambda_from_distances(descriptor_distances(z0, map_), rho)
+
+
+def lambda_from_distances(d: np.ndarray, rho: float) -> float:
+    """:func:`calibrate_lambda` on precomputed :func:`descriptor_distances`."""
     if not rho > 1.0:
         raise ValueError("rho must exceed 1")
-    d = _distances(z0, map_)
     spread = float(d.mean() - d.min())
     if spread < 1e-9:
         return 1.0
@@ -85,9 +97,13 @@ def likelihood_vector(
     found by selection rather than a full sort).  ``params.lam`` must be
     resolved (calibrated or overridden) before calling.
     """
+    return likelihoods_from_distances(descriptor_distances(z, map_), params)
+
+
+def likelihoods_from_distances(d: np.ndarray, params: MeasurementParams) -> np.ndarray:
+    """:func:`likelihood_vector` on precomputed :func:`descriptor_distances`."""
     if params.lam is None:
         raise ValueError("likelihood_vector requires a resolved lam")
-    d = _distances(z, map_)
     with np.errstate(under="ignore"):
         g = np.exp(-params.lam * d)
     n = g.size

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    OdometryStep,
-    Pose2,
-    chi2_cdf_3,
-    mahalanobis_sq,
-    min_mahalanobis_on_directed_segments,
-)
+from .geometry import OdometryStep, chi2_cdf_3, min_mahalanobis_on_directed_segments
 from .mapping import TopometricMap
 
 __all__ = [
@@ -209,18 +203,22 @@ def build_transition_model(
     d2, _ = min_mahalanobis_on_directed_segments(
         starts, u, degenerate, odom.mean, odom.cov
     )
-    d2_all = np.full(valid.shape, np.inf)
-    d2_all[1:] = np.where(valid[1:], d2.reshape(-1, n), np.inf)
-    d2_all[0, n - 1] = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
-    min_d2 = d2_all.min(axis=0)
+    # d2 table by diagonal offset: offset 0 is the final node's stay column
+    table = np.empty(valid.shape)
+    table[0, n - 1] = d2[-1]
+    table[1:] = d2[:-1].reshape(-1, n)
+    table[~valid] = np.inf
+    min_d2 = table.min(axis=0)
     if params.mode == "no_off":
         to_off = np.zeros(n)
     else:
         to_off = chi2_cdf_3(min_d2)
 
-    x = np.where(valid, -0.5 * d2_all, -np.inf)
-    x = x - x.max(axis=0)[None, :]
+    # softmax of -d2 / 2 per node, in place; invalid edges get exp(-inf) = 0
+    table -= min_d2
+    table *= -0.5
     with np.errstate(under="ignore"):
-        weights = np.where(valid, np.exp(x), 0.0)
-    probs = weights / weights.sum(axis=0)[None, :] * (1.0 - to_off)[None, :]
-    return TransitionModel(probs, to_off, params.off_self, valid)
+        np.exp(table, out=table)
+    table /= table.sum(axis=0)
+    table *= 1.0 - to_off
+    return TransitionModel(table, to_off, params.off_self, valid)

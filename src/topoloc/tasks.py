@@ -29,7 +29,13 @@ from .filtering import (
     smooth_pass,
 )
 from .mapping import TopometricMap
-from .measurement import MeasurementParams, calibrate_lambda, likelihood_vector
+from .measurement import (
+    MeasurementParams,
+    descriptor_distances,
+    lambda_from_distances,
+    likelihood_vector,
+    likelihoods_from_distances,
+)
 from .motion import MotionParams, TransitionModel, build_transition_model
 from .traverse import Traverse
 
@@ -64,13 +70,11 @@ class PipelineParams:
             raise ValueError("tau_thres must lie in [0, 1]")
 
 
-def _resolve_measurement(
-    params: PipelineParams, z0: np.ndarray, map_: TopometricMap
-) -> MeasurementParams:
+def _resolve_measurement(params: PipelineParams, d0: np.ndarray) -> MeasurementParams:
     m = params.measurement
     if m.lam is not None:
         return m
-    return replace(m, lam=calibrate_lambda(z0, map_, m.rho))
+    return replace(m, lam=lambda_from_distances(d0, m.rho))
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,9 +112,10 @@ def run_lcd(map_: TopometricMap, query: Traverse, params: PipelineParams) -> Lcd
             f"descriptor dimension mismatch: query {query.descriptor_dim}, "
             f"map {map_.descriptor_dim}"
         )
-    meas = _resolve_measurement(params, query.frames[0].descriptor, map_)
-    likelihoods = [
-        likelihood_vector(fr.descriptor, map_, meas) for fr in query.frames
+    d0 = descriptor_distances(query.frames[0].descriptor, map_)
+    meas = _resolve_measurement(params, d0)
+    likelihoods = [likelihoods_from_distances(d0, meas)] + [
+        likelihood_vector(fr.descriptor, map_, meas) for fr in query.frames[1:]
     ]
     models = [
         build_transition_model(map_, fr.odom, params.motion)
@@ -165,7 +170,7 @@ def run_wakeup(
     ``max_steps`` updates, or at the end of the traverse, whichever comes
     first.  Frames beyond ``start + max_steps`` are never read.
     """
-    return _wakeup_trial(map_, query, start, max_steps, params, trial, {})
+    return _wakeup_trial(map_, query, start, max_steps, params, trial, {}, {})
 
 
 def _wakeup_trial(
@@ -176,12 +181,13 @@ def _wakeup_trial(
     params: PipelineParams,
     trial: int,
     models: dict[int, TransitionModel],
+    dists: dict[int, np.ndarray],
 ) -> WakeupResult:
-    """:func:`run_wakeup`, reading and filling the model cache ``models``.
+    """:func:`run_wakeup`, reading and filling the per-frame caches.
 
-    ``models`` maps a frame index to that frame's transition model; a frame
-    missing from it is built and added.  Likelihoods are not shared, since
-    the kernel rate is calibrated on each trial's own start frame.
+    ``models`` and ``dists`` map a frame index to its transition model and
+    descriptor distances; a missing frame is computed and added.  Only the
+    kernel rate is the trial's own: it is calibrated on its start frame.
     """
     if query.descriptor_dim != map_.descriptor_dim:
         raise DataError("descriptor dimension mismatch between query and map")
@@ -189,11 +195,15 @@ def _wakeup_trial(
         raise DataError(f"start frame {start} leaves no room for an update")
     if max_steps < 1:
         raise DataError("max_steps must be at least 1")
-    meas = _resolve_measurement(params, query.frames[start].descriptor, map_)
+
+    def distances(t: int) -> np.ndarray:
+        if t not in dists:
+            dists[t] = descriptor_distances(query.frames[t].descriptor, map_)
+        return dists[t]
+
+    meas = _resolve_measurement(params, distances(start))
     prior = init_belief(map_.n_nodes, params.p0_off)
-    alpha, _ = forward_init(
-        prior, likelihood_vector(query.frames[start].descriptor, map_, meas)
-    )
+    alpha, _ = forward_init(prior, likelihoods_from_distances(distances(start), meas))
     steps_used = 0
     distance = 0.0
     converged = False
@@ -205,7 +215,7 @@ def _wakeup_trial(
         model = models.get(t)
         if model is None:
             model = models[t] = build_transition_model(map_, frame.odom, params.motion)
-        g = likelihood_vector(frame.descriptor, map_, meas)
+        g = likelihoods_from_distances(distances(t), meas)
         alpha, _ = forward_step(alpha, model, g)
         steps_used = t - start
         distance += frame.odom.mean.translation_norm
@@ -241,11 +251,12 @@ def run_wakeup_batch(
     Each result equals :func:`run_wakeup` of its start and trial index.
 
     The trials run in ascending order of start frame (ties in trial order)
-    and share the transition models of the frames they cover.  A frame's
-    model is built the first time a trial steps onto it and dropped when a
-    trial starts at or after it, so each frame's model is built at most once
-    per batch and at most ``max_steps`` models are held at a time.  Results
-    are returned in trial order.
+    and share each covered frame's transition model and descriptor
+    distances; a trial only turns distances into likelihoods at its own
+    kernel rate.  Both are computed the first time a trial needs them and
+    dropped when a trial starts after their frame, so each is computed at
+    most once per batch and at most ``max_steps + 1`` frames are held.
+    Results are returned in trial order.
     """
     if n_trials < 1:
         raise DataError("n_trials must be at least 1")
@@ -255,11 +266,13 @@ def run_wakeup_batch(
     starts = rng.integers(0, len(query) - 1, size=n_trials)
     results: list[WakeupResult | None] = [None] * n_trials
     models: dict[int, TransitionModel] = {}
+    dists: dict[int, np.ndarray] = {}
     for i in np.argsort(starts, kind="stable"):
         start = int(starts[i])
-        for t in [t for t in models if t <= start]:
-            del models[t]
+        for cache in (models, dists):
+            for t in [t for t in cache if t < start]:
+                del cache[t]
         results[i] = _wakeup_trial(
-            map_, query, start, max_steps, params, int(i), models
+            map_, query, start, max_steps, params, int(i), models, dists
         )
     return results

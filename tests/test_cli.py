@@ -102,6 +102,23 @@ def test_nan_odometry_exits_3(tmp_path, smoke_dir, field):
     assert code == 3
 
 
+@pytest.mark.parametrize("sidecar", ["query", "map"])
+def test_nan_descriptor_exits_3(tmp_path, smoke_dir, sidecar):
+    data = smoke_dir / "data"
+    for name in ("query.jsonl", "query.desc.bin", "map.json", "map.desc.bin"):
+        shutil.copy(data / name, tmp_path / name)
+    desc = tmp_path / f"{sidecar}.desc.bin"
+    raw = bytearray(desc.read_bytes())
+    cols = int(np.frombuffer(raw, dtype="<u4", count=1, offset=12)[0])
+    at = 16 + 4 * (5 * cols + 3)  # row 5, column 3, after the 16-byte header
+    raw[at:at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    desc.write_bytes(bytes(raw))
+    code = main(["lcd", "--map", str(tmp_path / "map.json"),
+                 "--query", str(tmp_path / "query.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 3
+
+
 def test_lcd_then_eval_chain(tmp_path, smoke_dir, capsys):
     data = smoke_dir / "data"
     res = tmp_path / "results.jsonl"

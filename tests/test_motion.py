@@ -8,6 +8,7 @@ from topoloc.geometry import (
     OdometryStep,
     Pose2,
     chi2_cdf_3,
+    mahalanobis_sq,
     min_mahalanobis_on_directed_segments,
     min_mahalanobis_on_segment,
     min_mahalanobis_on_segments,
@@ -214,8 +215,13 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
     m = TopometricMap(np.eye(n, dtype=np.float32), band, 2.0)
     lo, hi, seg_valid = m.segment_table()
     starts, u, degenerate, valid = m.edge_geometry
+    k = (window - 1) * n
+    for arr in (starts, u):
+        assert arr.shape == (3, k + 1) and arr.flags.c_contiguous
     assert not seg_valid.all() and np.isnan(lo[~seg_valid]).all()
-    assert degenerate[seg_valid.reshape(-1)].any()
+    assert degenerate[:k][seg_valid.reshape(-1)].any()
+    # the extra column is the final node's stay-in-place hypothesis
+    assert degenerate[k] and not starts[:, k].any() and not u[:, k].any()
     assert valid[1:].tolist() == seg_valid.tolist()
     assert valid[0].tolist() == [False] * (n - 1) + [True]
     raw_lo = np.nan_to_num(lo.reshape(-1, 3))
@@ -225,8 +231,21 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
         d2, s = min_mahalanobis_on_directed_segments(
             starts, u, degenerate, odom.mean, odom.cov
         )
-        assert np.array_equal(d2, d2_raw)
-        assert np.array_equal(s, s_raw)
+        assert np.array_equal(d2[:k], d2_raw)
+        assert np.array_equal(s[:k], s_raw)
+        assert s[k] == 0.0
+
+
+def test_stay_column_scores_identity_pose():
+    m = line_map()
+    starts, u, degenerate, _ = m.edge_geometry
+    for odom in (step(2.0), step(0.0), step(-1.0, 0.5, 3.1), step(0.3, -0.2, -3.14)):
+        d2, _ = min_mahalanobis_on_directed_segments(
+            starts, u, degenerate, odom.mean, odom.cov
+        )
+        want = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
+        # same arithmetic up to summation order and the sign of the residual
+        assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_transition_model_validation():

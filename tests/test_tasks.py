@@ -135,24 +135,34 @@ def test_wakeup_batch_equals_single_trials():
 
 
 def test_wakeup_batch_builds_each_frame_once(monkeypatch):
+    # both per-frame products, the transition model and the descriptor
+    # distances, are computed at most once per batch
     import topoloc.tasks as tasks_mod
 
     built = collections.Counter()
-    original = tasks_mod.build_transition_model
+    measured = collections.Counter()
+    build = tasks_mod.build_transition_model
+    measure = tasks_mod.descriptor_distances
 
-    def counting(map_, odom, params):
+    def counting_build(map_, odom, params):
         built[id(odom)] += 1
-        return original(map_, odom, params)
+        return build(map_, odom, params)
 
-    monkeypatch.setattr(tasks_mod, "build_transition_model", counting)
+    def counting_measure(z, map_):
+        measured[id(z)] += 1
+        return measure(z, map_)
+
+    monkeypatch.setattr(tasks_mod, "build_transition_model", counting_build)
+    monkeypatch.setattr(tasks_mod, "descriptor_distances", counting_measure)
     batch = run_wakeup_batch(_map, _query, 120, 7, 6, _params)
-    covered = {
-        id(_query.frames[t].odom)
-        for r in batch
-        for t in range(r.start + 1, r.start + r.steps_used + 1)
-    }
-    assert set(built) == covered
+    stepped = [
+        t for r in batch for t in range(r.start + 1, r.start + r.steps_used + 1)
+    ]
+    assert set(built) == {id(_query.frames[t].odom) for t in stepped}
     assert max(built.values()) == 1
+    seen = stepped + [r.start for r in batch]
+    assert set(measured) == {id(_query.frames[t].descriptor) for t in seen}
+    assert max(measured.values()) == 1
 
 
 def test_wakeup_batch_starts_cover_route():
