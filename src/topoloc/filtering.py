@@ -127,6 +127,10 @@ class FilterTrace:
     models: list[TransitionModel] = field(default_factory=list)
     likelihoods: list[np.ndarray] = field(default_factory=list)
 
+    @property
+    def n_steps(self) -> int:
+        return len(self.alphas) - 1
+
     def evidence(self) -> float:
         """Product of the scale constants: the total observation evidence."""
         return float(np.prod(self.scales))
@@ -199,6 +203,11 @@ class Decision:
     mode: int
     tau: float
     converged: bool
+
+    @property
+    def node(self) -> int | None:
+        """The proposed node when converged, else ``None``."""
+        return self.mode if self.converged else None
 
 
 def convergence_score(

@@ -172,17 +172,14 @@ class TopometricMap:
     def edge_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Map-only inputs of the motion model, computed once per map.
 
-        ``(starts, u, degenerate, valid)``.  ``starts`` and ``u`` are the
-        segment starts and wrapped directions as contiguous ``(3, (window-1)
-        * N + 1)`` arrays, the layout of
-        :func:`~topoloc.geometry.min_mahalanobis_on_directed_segments`.
-        Column ``(k-1) * N + i`` is the segment table's edge ``i -> i + k``
-        (NaN replaced by zero); the last column is the final node's
-        stay-in-place hypothesis, a degenerate segment at the identity pose,
-        so one kernel call scores every edge.  ``degenerate`` masks the
-        zero-length columns, and ``valid`` is the ``(window, N)`` edge mask of
-        a transition model: slot ``[k, i]`` covers ``i -> i + k``, and offset
-        0 holds only the final node's self-transition.
+        ``(starts, u, degenerate, valid)``: the segment starts and wrapped
+        directions as contiguous ``(3, (window-1) * N + 1)`` arrays, whose
+        column ``(k-1) * N + i`` is edge ``i -> i + k`` (NaN set to zero) and
+        whose last column is the final node's stay-in-place hypothesis, a
+        degenerate segment at the identity pose; their degenerate mask; and
+        the ``(window, N)`` edge mask of a transition model, where slot
+        ``[k, i]`` covers ``i -> i + k`` and offset 0 holds only the final
+        node's self-transition.
         """
         lo, hi, seg_valid = self._segment_table
         n, w = self.n_nodes, self.window

@@ -56,10 +56,7 @@ def order_stat_k(n_nodes: int, params: MeasurementParams) -> int:
 
 
 def descriptor_distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
-    """Distances ``||z - z_v||`` to every node: the measurement's ``N x d`` pass.
-
-    Callers scoring one frame under several kernel rates compute it once.
-    """
+    """Distances ``||z - z_v||`` to every node: the one ``N x d`` pass per frame."""
     z = np.asarray(z, dtype=np.float64).reshape(-1)
     if z.size != map_.descriptor_dim:
         raise ValueError(

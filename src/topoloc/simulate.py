@@ -198,6 +198,13 @@ class World:
     def n_samples(self) -> int:
         return self.positions.shape[0]
 
+    @property
+    def arc_length(self) -> float:
+        return (self.n_samples - 1) * self.resolution
+
+    def arc(self) -> np.ndarray:
+        return np.arange(self.n_samples) * self.resolution
+
 
 def generate_world(seed: int, length_m: float = 2000.0, d: int = 64) -> World:
     """Generate a smooth random world of the given arc length.

@@ -31,6 +31,7 @@ from .filtering import (
 from .mapping import TopometricMap
 from .measurement import (
     MeasurementParams,
+    calibrate_lambda,
     descriptor_distances,
     lambda_from_distances,
     likelihood_vector,
@@ -70,13 +71,6 @@ class PipelineParams:
             raise ValueError("tau_thres must lie in [0, 1]")
 
 
-def _resolve_measurement(params: PipelineParams, d0: np.ndarray) -> MeasurementParams:
-    m = params.measurement
-    if m.lam is not None:
-        return m
-    return replace(m, lam=lambda_from_distances(d0, m.rho))
-
-
 @dataclass(frozen=True, slots=True)
 class LcdFrame:
     """Per-frame record: the mode node, its tau score, and the mode's mass.
@@ -112,10 +106,12 @@ def run_lcd(map_: TopometricMap, query: Traverse, params: PipelineParams) -> Lcd
             f"descriptor dimension mismatch: query {query.descriptor_dim}, "
             f"map {map_.descriptor_dim}"
         )
-    d0 = descriptor_distances(query.frames[0].descriptor, map_)
-    meas = _resolve_measurement(params, d0)
-    likelihoods = [likelihoods_from_distances(d0, meas)] + [
-        likelihood_vector(fr.descriptor, map_, meas) for fr in query.frames[1:]
+    meas = params.measurement
+    if meas.lam is None:
+        z0 = query.frames[0].descriptor
+        meas = replace(meas, lam=calibrate_lambda(z0, map_, meas.rho))
+    likelihoods = [
+        likelihood_vector(fr.descriptor, map_, meas) for fr in query.frames
     ]
     models = [
         build_transition_model(map_, fr.odom, params.motion)
@@ -201,7 +197,9 @@ def _wakeup_trial(
             dists[t] = descriptor_distances(query.frames[t].descriptor, map_)
         return dists[t]
 
-    meas = _resolve_measurement(params, distances(start))
+    meas = params.measurement
+    if meas.lam is None:
+        meas = replace(meas, lam=lambda_from_distances(distances(start), meas.rho))
     prior = init_belief(map_.n_nodes, params.p0_off)
     alpha, _ = forward_init(prior, likelihoods_from_distances(distances(start), meas))
     steps_used = 0

@@ -239,13 +239,31 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
 def test_stay_column_scores_identity_pose():
     m = line_map()
     starts, u, degenerate, _ = m.edge_geometry
-    for odom in (step(2.0), step(0.0), step(-1.0, 0.5, 3.1), step(0.3, -0.2, -3.14)):
+    correlated = Covariance3(
+        np.array([[0.04, 0.01, 0.006], [0.01, 0.09, -0.005], [0.006, -0.005, 0.0025]])
+    )
+    steps = [step(2.0), step(0.0), step(-1.0, 0.5, 3.1), step(0.3, -0.2, -3.14)]
+    steps += [OdometryStep(Pose2(0.4, -0.3, t), correlated) for t in (3.1, -3.1)]
+    for odom in steps:
         d2, _ = min_mahalanobis_on_directed_segments(
             starts, u, degenerate, odom.mean, odom.cov
         )
         want = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
         # same arithmetic up to summation order and the sign of the residual
         assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    # At a heading of exactly +-pi the residual's sign matters: wrap_angle
+    # sends both +pi and -pi to +pi.  The stay column is scored like every
+    # other segment, as the odometry minus the identity pose.
+    for t in (np.pi, -np.pi, 3 * np.pi):
+        odom = OdometryStep(Pose2(0.4, -0.3, t), correlated)
+        d2, _ = min_mahalanobis_on_directed_segments(
+            starts, u, degenerate, odom.mean, odom.cov
+        )
+        want = mahalanobis_sq(odom.mean, Pose2.identity(), odom.cov)
+        assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        reversed_sign = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
+        assert abs(d2[-1] - reversed_sign) > 1.0
 
 
 def test_transition_model_validation():
