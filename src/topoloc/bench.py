@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import Covariance3, OdometryStep, Pose2
 from .mapping import TopometricMap
 from .measurement import MeasurementParams, likelihood_vector
@@ -32,8 +33,10 @@ def make_synthetic_problem(
     :class:`OdometryStep` and ``queries`` a float32 array of shape
     ``(n_inputs, dim)``.
     """
-    if n_nodes < window or dim < 1 or n_inputs < 1:
-        raise ValueError("need n_nodes >= window, dim >= 1, n_inputs >= 1")
+    if not (2 <= window <= n_nodes and dim >= 1 and n_inputs >= 1 and seed >= 0):
+        raise ConfigError(
+            "need 2 <= window <= n_nodes, dim >= 1, n_inputs >= 1, seed >= 0"
+        )
     rng = np.random.default_rng([int(seed), _STREAM_BENCH])
     spacing = 2.0
 
@@ -75,7 +78,7 @@ def run_benchmark(
 ) -> dict:
     """Time each per-step stage ``repeats`` times and summarize in milliseconds."""
     if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+        raise ConfigError("repeats must be at least 1")
     map_, steps, queries = make_synthetic_problem(
         n_nodes, dim, window=window, seed=seed, n_inputs=repeats
     )

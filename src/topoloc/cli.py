@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import formats
+from ._records import read_record, record_dict
 from .bench import run_benchmark
 from .config import Config
 from .errors import ConfigError, DataError, MeasurementDegenerateError
@@ -52,39 +53,39 @@ def _resolve_scenario(name: str) -> ScenarioSpec:
     p = Path(name)
     if p.exists():
         try:
-            return ScenarioSpec.from_dict(formats.read_json(p))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid scenario file {p}: {exc}") from exc
+            raw = formats.read_json(p)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        return ScenarioSpec.from_dict(raw, where=str(p))
     raise ConfigError(
         f"unknown scenario {name!r}; builtins are {sorted(scenarios)} "
         "and anything else must be a scenario JSON file"
     )
 
 
+# flags that override a config value: (section, key, flag)
+_OVERRIDES = (
+    ("map", "node_spacing", "node_spacing"),
+    ("map", "window", "window"),
+    ("filter", "mode", "mode"),
+    ("filter", "forward_only", "forward_only"),
+    ("task", "n_trials", "n_trials"),
+    ("task", "max_steps", "max_steps"),
+    ("task", "seed", "trial_seed"),
+)
+
+
 def _load_config(args) -> Config:
     """Defaults, overridden by ``--config``, overridden by explicit flags."""
     cfg = Config()
     if getattr(args, "config", None):
-        raw = formats.read_json(args.config)
-        cfg = Config.from_dict(raw)
-    filt = cfg.filter
-    if getattr(args, "mode", None) is not None:
-        filt = dataclasses.replace(filt, mode=args.mode)
-    if getattr(args, "forward_only", False):
-        filt = dataclasses.replace(filt, forward_only=True)
-    map_cfg = cfg.map
-    if getattr(args, "node_spacing", None) is not None:
-        map_cfg = dataclasses.replace(map_cfg, node_spacing=args.node_spacing)
-    if getattr(args, "window", None) is not None:
-        map_cfg = dataclasses.replace(map_cfg, window=args.window)
-    task = cfg.task
-    if getattr(args, "n_trials", None) is not None:
-        task = dataclasses.replace(task, n_trials=args.n_trials)
-    if getattr(args, "max_steps", None) is not None:
-        task = dataclasses.replace(task, max_steps=args.max_steps)
-    if getattr(args, "trial_seed", None) is not None:
-        task = dataclasses.replace(task, seed=args.trial_seed)
-    return Config(map=map_cfg, filter=filt, task=task)
+        cfg = Config.from_dict(formats.read_json(args.config), where=args.config)
+    for section, key, flag in _OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            part = dataclasses.replace(getattr(cfg, section), **{key: value})
+            cfg = dataclasses.replace(cfg, **{section: part})
+    return cfg
 
 
 def _cmd_simulate(args) -> int:
@@ -117,43 +118,45 @@ def _cmd_build_map(args) -> int:
     return 0
 
 
-def _cmd_lcd(args) -> int:
+def _localize(task: str, map_, query, cfg: Config):
+    """Run ``lcd`` or a ``wakeup`` batch and return what its results file holds."""
+    params = cfg.filter.pipeline_params()
+    if task == "lcd":
+        return run_lcd(map_, query, params)
+    t = cfg.task
+    return run_wakeup_batch(map_, query, t.n_trials, t.seed, t.max_steps, params)
+
+
+def _write_results(task: str, path, results) -> None:
+    if task == "lcd":
+        formats.write_lcd_result(path, results)
+    else:
+        formats.write_wakeup_results(path, results)
+
+
+def _cmd_localize(args) -> int:
     cfg = _load_config(args)
     map_ = formats.read_map(args.map)
     query = formats.read_traverse(args.query)
-    result = run_lcd(map_, query, cfg.filter.pipeline_params())
-    formats.write_lcd_result(args.out, result)
-    log.info("%d frames scored -> %s", len(result.frames), args.out)
+    _write_results(args.command, args.out, _localize(args.command, map_, query, cfg))
+    log.info("%s results -> %s", args.command, args.out)
     return 0
 
 
-def _cmd_wakeup(args) -> int:
-    cfg = _load_config(args)
-    map_ = formats.read_map(args.map)
-    query = formats.read_traverse(args.query)
-    results = run_wakeup_batch(
-        map_,
-        query,
-        n_trials=cfg.task.n_trials,
-        seed=cfg.task.seed,
-        max_steps=cfg.task.max_steps,
-        params=cfg.filter.pipeline_params(),
-    )
-    formats.write_wakeup_results(args.out, results)
-    n_conv = sum(r.converged for r in results)
-    log.info("%d/%d trials converged -> %s", n_conv, len(results), args.out)
-    return 0
-
-
-def _curve_summary(curve) -> dict:
-    return {
-        "n_items": int(curve.n_items),
-        "recall_at_precision": {
-            "0.90": recall_at_precision(curve, 0.90),
-            "0.95": recall_at_precision(curve, 0.95),
-            "0.99": recall_at_precision(curve, 0.99),
-        },
-    }
+def _summarize(task: str, results, labels):
+    """Precision-recall curve and JSON summary of lcd or wakeup results."""
+    if task == "lcd":
+        curve, extra = score_lcd(results, labels), {}
+    else:
+        score = score_wakeup(results, labels)
+        curve = score.curve
+        extra = {
+            "n_converged": int(sum(r.converged for r in results)),
+            "mean_distance_at_0.95": score.mean_distance_at(0.95),
+        }
+    recalls = {f"{p:.2f}": recall_at_precision(curve, p) for p in (0.90, 0.95, 0.99)}
+    summary = {"task": task, "n_items": int(curve.n_items), "recall_at_precision": recalls}
+    return curve, {**summary, **extra}
 
 
 def _cmd_eval(args) -> int:
@@ -161,19 +164,10 @@ def _cmd_eval(args) -> int:
     query = formats.read_traverse(args.query)
     labels = label_ground_truth(query, map_, args.tol_m, args.tol_deg)
     if args.task == "lcd":
-        result = formats.read_lcd_result(args.results)
-        curve = score_lcd(result, labels)
-        summary = {"task": "lcd", **_curve_summary(curve)}
+        results = formats.read_lcd_result(args.results)
     else:
         results = formats.read_wakeup_results(args.results)
-        score = score_wakeup(results, labels)
-        curve = score.curve
-        summary = {
-            "task": "wakeup",
-            **_curve_summary(curve),
-            "n_converged": int(sum(r.converged for r in results)),
-            "mean_distance_at_0.95": score.mean_distance_at(0.95),
-        }
+    curve, summary = _summarize(args.task, results, labels)
     formats.write_pr_curve(args.out_curve, curve)
     if args.out_labels:
         formats.write_labels(args.out_labels, labels)
@@ -183,83 +177,63 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _execute_run(manifest: dict, out: Path) -> int:
-    spec = ScenarioSpec.from_dict(manifest["scenario"])
-    cfg = Config.from_dict(manifest["config"])
-    seed = int(manifest["seed"])
-    task = manifest["task"]
-    tol_m = float(manifest["tol_m"])
-    tol_deg = float(manifest["tol_deg"])
-    if task not in ("lcd", "wakeup"):
-        raise DataError(f"manifest names unknown task {task!r}")
+@dataclasses.dataclass(frozen=True)
+class _Manifest:
+    """Everything ``run`` needs, recorded so ``rerun`` can replay it."""
 
+    command: str
+    task: str
+    scenario: ScenarioSpec
+    seed: int
+    config: Config
+    tol_m: float
+    tol_deg: float
+
+    def __post_init__(self):
+        if self.command != "run":
+            raise DataError("not a run manifest")
+        if self.task not in ("lcd", "wakeup"):
+            raise DataError(f"manifest names unknown task {self.task!r}")
+
+
+def _execute_run(manifest: _Manifest, out: Path) -> int:
+    cfg = manifest.config
     out.mkdir(parents=True, exist_ok=True)
-    _, ref, query = simulate_scenario(spec, seed)
+    _, ref, query = simulate_scenario(manifest.scenario, manifest.seed)
     formats.write_traverse(out / "reference.jsonl", ref)
     formats.write_traverse(out / "query.jsonl", query)
     map_ = build_map(ref, cfg.map.node_spacing, cfg.map.window)
     formats.write_map(out / "map.json", map_)
-    labels = label_ground_truth(query, map_, tol_m, tol_deg)
+    labels = label_ground_truth(query, map_, manifest.tol_m, manifest.tol_deg)
     formats.write_labels(out / "labels.jsonl", labels)
 
-    params = cfg.filter.pipeline_params()
-    if task == "lcd":
-        result = run_lcd(map_, query, params)
-        formats.write_lcd_result(out / "results.jsonl", result)
-        curve = score_lcd(result, labels)
-        summary = {"task": "lcd", **_curve_summary(curve)}
-    else:
-        results = run_wakeup_batch(
-            map_,
-            query,
-            n_trials=cfg.task.n_trials,
-            seed=cfg.task.seed,
-            max_steps=cfg.task.max_steps,
-            params=params,
-        )
-        formats.write_wakeup_results(out / "results.jsonl", results)
-        score = score_wakeup(results, labels)
-        curve = score.curve
-        summary = {
-            "task": "wakeup",
-            **_curve_summary(curve),
-            "n_converged": int(sum(r.converged for r in results)),
-            "mean_distance_at_0.95": score.mean_distance_at(0.95),
-        }
+    results = _localize(manifest.task, map_, query, cfg)
+    _write_results(manifest.task, out / "results.jsonl", results)
+    curve, summary = _summarize(manifest.task, results, labels)
     formats.write_pr_curve(out / "pr.csv", curve)
     formats.write_json(out / "summary.json", summary)
-    formats.write_json(out / "manifest.json", manifest)
+    formats.write_json(out / "manifest.json", record_dict(manifest))
     print(json.dumps(summary, indent=2))
     return 0
 
 
 def _cmd_run(args) -> int:
-    spec = _resolve_scenario(args.scenario)
-    cfg = _load_config(args)
-    manifest = {
-        "command": "run",
-        "task": args.task,
-        "scenario": spec.to_dict(),
-        "seed": int(args.seed),
-        "config": cfg.to_dict(),
-        "tol_m": _TOL_M,
-        "tol_deg": _TOL_DEG,
-    }
+    manifest = _Manifest(
+        command="run",
+        task=args.task,
+        scenario=_resolve_scenario(args.scenario),
+        seed=args.seed,
+        config=_load_config(args),
+        tol_m=_TOL_M,
+        tol_deg=_TOL_DEG,
+    )
     return _execute_run(manifest, Path(args.out))
 
 
 def _cmd_rerun(args) -> int:
-    manifest = formats.read_json(args.manifest)
-    if not isinstance(manifest, dict) or manifest.get("command") != "run":
-        raise DataError(f"{args.manifest} does not describe a run")
-    required = {"command", "task", "scenario", "seed", "config", "tol_m", "tol_deg"}
-    missing = required - set(manifest)
-    if missing:
-        raise DataError(f"{args.manifest}: manifest is missing {sorted(missing)}")
-    try:
-        return _execute_run(manifest, Path(args.out))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{args.manifest}: invalid manifest: {exc}") from exc
+    raw = formats.read_json(args.manifest)
+    manifest = read_record(_Manifest, raw, DataError, args.manifest)
+    return _execute_run(manifest, Path(args.out))
 
 
 def _cmd_bench(args) -> int:
@@ -290,6 +264,7 @@ def _add_filter_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--forward-only",
         action="store_true",
+        default=None,
         help="skip backward smoothing and decide on filtered beliefs",
     )
 
@@ -321,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="results file to write (.jsonl)")
     _add_config_flag(p)
     _add_filter_flags(p)
-    p.set_defaults(func=_cmd_lcd)
+    p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("wakeup", help="batch of global-localization trials")
     p.add_argument("--map", required=True)
@@ -332,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trial-seed", type=int, help="seed for the start-frame draw")
     _add_config_flag(p)
     _add_filter_flags(p)
-    p.set_defaults(func=_cmd_wakeup)
+    p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("eval", help="score results against ground truth")
     p.add_argument("--task", choices=("lcd", "wakeup"), required=True)

@@ -1,52 +1,33 @@
-"""Typed run configuration with strict dict round-trips.
+"""Typed run configuration with a strict JSON round trip.
 
 Every tunable the CLI exposes lives here.  ``Config.from_dict`` rejects
-unknown keys so a typo in a config file fails loudly instead of silently
-running with defaults.
+unknown keys and values of the wrong type, so a typo in a config file fails
+loudly instead of silently running with defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
+from ._records import Record
 from .errors import ConfigError
 from .measurement import MeasurementParams
-from .motion import MOTION_MODES, MotionParams
+from .motion import MotionParams
 from .tasks import PipelineParams
 
 __all__ = ["Config", "FilterConfig", "MapConfig", "TaskConfig"]
 
 
-def _take(d: dict, allowed: dict[str, Any], where: str) -> dict:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    out = dict(allowed)
-    out.update(d)
-    return out
-
-
 @dataclass(frozen=True)
-class MapConfig:
+class MapConfig(Record):
     """Map-building knobs."""
 
     node_spacing: float = 2.0
     window: int = 5
 
-    def to_dict(self) -> dict:
-        return {"node_spacing": self.node_spacing, "window": self.window}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MapConfig":
-        vals = _take(d, {"node_spacing": 2.0, "window": 5}, "map")
-        return cls(
-            node_spacing=float(vals["node_spacing"]), window=int(vals["window"])
-        )
-
 
 @dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(Record):
     """Inference knobs: motion mode, measurement kernel, decision rule."""
 
     mode: str = "full"
@@ -62,42 +43,7 @@ class FilterConfig:
     forward_only: bool = False
 
     def __post_init__(self):
-        if self.mode not in MOTION_MODES:
-            raise ConfigError(f"mode must be one of {MOTION_MODES}, got {self.mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "off_self": self.off_self,
-            "no_odom_off": self.no_odom_off,
-            "lam": self.lam,
-            "k_frac": self.k_frac,
-            "k_min": self.k_min,
-            "rho": self.rho,
-            "p0_off": self.p0_off,
-            "radius_m": self.radius_m,
-            "tau_thres": self.tau_thres,
-            "forward_only": self.forward_only,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterConfig":
-        defaults = {k: getattr(cls, k) for k in cls.__dataclass_fields__}
-        vals = _take(d, defaults, "filter")
-        lam = vals["lam"]
-        return cls(
-            mode=str(vals["mode"]),
-            off_self=float(vals["off_self"]),
-            no_odom_off=float(vals["no_odom_off"]),
-            lam=None if lam is None else float(lam),
-            k_frac=float(vals["k_frac"]),
-            k_min=int(vals["k_min"]),
-            rho=float(vals["rho"]),
-            p0_off=float(vals["p0_off"]),
-            radius_m=float(vals["radius_m"]),
-            tau_thres=float(vals["tau_thres"]),
-            forward_only=bool(vals["forward_only"]),
-        )
+        self.pipeline_params()  # a bad value fails when the config is read
 
     def pipeline_params(self) -> PipelineParams:
         """Materialize the validated parameter objects inference consumes."""
@@ -121,54 +67,18 @@ class FilterConfig:
 
 
 @dataclass(frozen=True)
-class TaskConfig:
+class TaskConfig(Record):
     """Wakeup batch settings."""
 
     max_steps: int = 30
     n_trials: int = 500
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "max_steps": self.max_steps,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskConfig":
-        vals = _take(d, {"max_steps": 30, "n_trials": 500, "seed": 0}, "task")
-        return cls(
-            max_steps=int(vals["max_steps"]),
-            n_trials=int(vals["n_trials"]),
-            seed=int(vals["seed"]),
-        )
-
 
 @dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Aggregate of all run settings."""
 
     map: MapConfig = field(default_factory=MapConfig)
     filter: FilterConfig = field(default_factory=FilterConfig)
     task: TaskConfig = field(default_factory=TaskConfig)
-
-    def to_dict(self) -> dict:
-        return {
-            "map": self.map.to_dict(),
-            "filter": self.filter.to_dict(),
-            "task": self.task.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Config":
-        if not isinstance(d, dict):
-            raise ConfigError("config root must be a mapping")
-        unknown = set(d) - {"map", "filter", "task"}
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        return cls(
-            map=MapConfig.from_dict(d.get("map", {})),
-            filter=FilterConfig.from_dict(d.get("filter", {})),
-            task=TaskConfig.from_dict(d.get("task", {})),
-        )

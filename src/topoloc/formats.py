@@ -30,10 +30,12 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._records import read_record, record_dict
 from .errors import DataError
 from .evaluate import GroundTruthLabel, PrCurve
 from .geometry import Covariance3, OdometryStep, Pose2
@@ -78,13 +80,13 @@ def _read_bytes(path) -> bytes:
 
 def _read_text(path) -> str:
     try:
-        return Path(path).read_text()
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {path}") from exc
+        return _read_bytes(path).decode()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+# one compact encoder for every JSONL line (``json.dumps`` builds one per call)
+_dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def write_json(path, obj) -> None:
@@ -113,17 +115,8 @@ def _parse_jsonl(path) -> list:
 
 
 def _require_keys(rec, keys: set, where: str) -> None:
-    if not isinstance(rec, dict):
-        raise DataError(f"{where}: expected a JSON object")
-    if set(rec) != keys:
-        missing = keys - set(rec)
-        extra = set(rec) - keys
-        parts = []
-        if missing:
-            parts.append(f"missing {sorted(missing)}")
-        if extra:
-            parts.append(f"unexpected {sorted(extra)}")
-        raise DataError(f"{where}: {', '.join(parts)}")
+    if not isinstance(rec, dict) or rec.keys() != keys:
+        raise DataError(f"{where}: expected a JSON object with keys {sorted(keys)}")
 
 
 def _floats(values, n: int, where: str) -> list[float]:
@@ -259,65 +252,58 @@ def read_traverse(path) -> Traverse:
 # maps
 
 
+@dataclass(frozen=True)
+class _MapDoc:
+    """A map document; ``band`` rows are checked one by one on reading."""
+
+    n_nodes: int
+    window: int
+    node_spacing: float
+    descriptor_dim: int
+    descriptor_file: str
+    band: list
+    gt_poses: tuple[tuple[float, float, float], ...] | None
+    frame_indices: tuple[int, ...] | None
+
+
 def write_map(path, map_: TopometricMap) -> None:
     """Write a map document to ``path`` and its descriptors to the sidecar."""
     p = Path(path)
     sidecar = descriptor_sidecar(p)
     write_descriptor_matrix(sidecar, map_.descriptors)
-    n = map_.n_nodes
-    band_rows = []
-    for i in range(n):
-        for k in range(1, map_.window):
-            j = i + k
-            if j > n - 1:
-                break
-            row = map_.band[i, k]
-            band_rows.append([i, j, float(row[0]), float(row[1]), float(row[2])])
-    gt = None
-    if map_.gt_poses is not None:
-        gt = [[float(v) for v in row] for row in map_.gt_poses]
-    doc = {
-        "n_nodes": n,
-        "window": map_.window,
-        "node_spacing": map_.node_spacing,
-        "descriptor_dim": map_.descriptor_dim,
-        "descriptor_file": sidecar.name,
-        "band": band_rows,
-        "gt_poses": gt,
-        "frame_indices": map_.frame_indices,
-    }
-    write_json(p, doc)
+    i, k = np.nonzero(~np.isnan(map_.band[:, 1:, 0]))
+    band_rows = [
+        [a, a + b + 1, *pose]
+        for a, b, pose in zip(i.tolist(), k.tolist(), map_.band[i, k + 1].tolist())
+    ]
+    doc = _MapDoc(
+        n_nodes=map_.n_nodes,
+        window=map_.window,
+        node_spacing=map_.node_spacing,
+        descriptor_dim=map_.descriptor_dim,
+        descriptor_file=sidecar.name,
+        band=band_rows,
+        gt_poses=None if map_.gt_poses is None else map_.gt_poses.tolist(),
+        frame_indices=map_.frame_indices,
+    )
+    write_json(p, record_dict(doc))
 
 
 def read_map(path) -> TopometricMap:
     p = Path(path)
-    doc = read_json(p)
-    keys = {
-        "n_nodes",
-        "window",
-        "node_spacing",
-        "descriptor_dim",
-        "descriptor_file",
-        "band",
-        "gt_poses",
-        "frame_indices",
-    }
-    _require_keys(doc, keys, str(p))
-    n = int(doc["n_nodes"])
-    window = int(doc["window"])
+    doc = read_record(_MapDoc, read_json(p), DataError, str(p))
+    n, window = doc.n_nodes, doc.window
     if n < 1 or window < 2:
         raise DataError(f"{p}: invalid n_nodes/window")
-    matrix = read_descriptor_matrix(p.parent / doc["descriptor_file"])
-    if matrix.shape != (n, int(doc["descriptor_dim"])):
+    matrix = read_descriptor_matrix(p.parent / doc.descriptor_file)
+    if matrix.shape != (n, doc.descriptor_dim):
         raise DataError(
             f"{p}: descriptor file shape {matrix.shape} does not match "
-            f"({n}, {doc['descriptor_dim']})"
+            f"({n}, {doc.descriptor_dim})"
         )
     band = np.full((n, window, 3), np.nan)
     band[:, 0, :] = 0.0
-    if not isinstance(doc["band"], list):
-        raise DataError(f"{p}: band must be a list")
-    for row in doc["band"]:
+    for row in doc.band:
         vals = _floats(row, 5, f"{p} band row")
         i, j = int(vals[0]), int(vals[1])
         k = j - i
@@ -326,188 +312,98 @@ def read_map(path) -> TopometricMap:
         if not np.isnan(band[i, k, 0]):
             raise DataError(f"{p}: duplicate band entry for edge {i} -> {j}")
         band[i, k] = vals[2:]
-    gt = doc["gt_poses"]
-    if gt is not None:
-        gt = np.array([_floats(row, 3, f"{p} gt_poses row") for row in gt])
-    fi = doc["frame_indices"]
-    if fi is not None:
-        fi = [int(v) for v in fi]
+    gt, fi = doc.gt_poses, doc.frame_indices
     try:
         return TopometricMap(
             matrix,
             band,
-            node_spacing=float(doc["node_spacing"]),
-            gt_poses=gt,
-            frame_indices=fi,
+            node_spacing=doc.node_spacing,
+            gt_poses=None if gt is None else np.array(gt),
+            frame_indices=None if fi is None else list(fi),
         )
     except DataError as exc:
         raise DataError(f"{p}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# task results
+# task results and ground-truth labels
+
+
+_LcdHeader = make_dataclass("_LcdHeader", [("lam", float), ("n_frames", int)])
+_WakeupHeader = make_dataclass("_WakeupHeader", [("n_trials", int)])
+_LabelsHeader = make_dataclass(
+    "_LabelsHeader", [("tol_m", float), ("tol_deg", float), ("n_frames", int)]
+)
+_LabelRow = make_dataclass(
+    "_LabelRow",
+    [("t", int), ("within_map", bool), ("true_node", int), ("ok_nodes", tuple[int, ...])],
+)
+
+
+def _write_records(path, kind: str, header, rows) -> None:
+    """A header line naming ``kind``, then one line per record."""
+    lines = [_dumps({"kind": kind, **record_dict(header)})]
+    lines.extend(_dumps(record_dict(row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_records(path, kind: str, header_cls, row_cls, count: str):
+    """Header and rows of a file :func:`_write_records` wrote.
+
+    ``count`` names the header field holding the number of rows.  Rows with
+    a ``t`` field must hold ``0, 1, 2, ...`` in order.
+    """
+    records = _parse_jsonl(path)
+    head = records[0] if records else None
+    if not isinstance(head, dict) or head.get("kind") != kind:
+        raise DataError(f"{path}: expected a {kind!r} header line")
+    head = {k: v for k, v in head.items() if k != "kind"}
+    header = read_record(header_cls, head, DataError, f"{path} header")
+    if len(records) - 1 != getattr(header, count):
+        raise DataError(f"{path}: record count does not match header {count}")
+    rows = [
+        read_record(row_cls, rec, DataError, f"{path} record {i}")
+        for i, rec in enumerate(records[1:])
+    ]
+    for i, row in enumerate(rows):
+        if getattr(row, "t", i) != i:
+            raise DataError(f"{path} record {i}: out-of-order t={row.t}")
+    return header, rows
 
 
 def write_lcd_result(path, result: LcdResult) -> None:
-    lines = [
-        _dumps(
-            {"kind": "lcd", "lam": float(result.lam), "n_frames": len(result.frames)}
-        )
-    ]
-    for fr in result.frames:
-        lines.append(
-            _dumps(
-                {
-                    "t": int(fr.t),
-                    "proposal": int(fr.proposal),
-                    "tau": float(fr.tau),
-                    "mode_mass": float(fr.mode_mass),
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_header(records, kind: str, path) -> dict:
-    if not records:
-        raise DataError(f"{path}: empty results file")
-    head = records[0]
-    if not isinstance(head, dict) or head.get("kind") != kind:
-        raise DataError(f"{path}: expected a {kind!r} header line")
-    return head
+    header = _LcdHeader(lam=result.lam, n_frames=len(result.frames))
+    _write_records(path, "lcd", header, result.frames)
 
 
 def read_lcd_result(path) -> LcdResult:
-    records = _parse_jsonl(path)
-    head = _read_header(records, "lcd", path)
-    _require_keys(head, {"kind", "lam", "n_frames"}, f"{path} header")
-    body = records[1:]
-    if len(body) != int(head["n_frames"]):
-        raise DataError(f"{path}: frame count does not match header")
-    frames = []
-    for t, rec in enumerate(body):
-        where = f"{path} frame {t}"
-        _require_keys(rec, {"t", "proposal", "tau", "mode_mass"}, where)
-        if rec["t"] != t:
-            raise DataError(f"{where}: out-of-order t={rec['t']}")
-        frames.append(
-            LcdFrame(
-                t=t,
-                proposal=int(rec["proposal"]),
-                tau=float(rec["tau"]),
-                mode_mass=float(rec["mode_mass"]),
-            )
-        )
-    return LcdResult(frames=frames, lam=float(head["lam"]))
+    header, frames = _read_records(path, "lcd", _LcdHeader, LcdFrame, "n_frames")
+    return LcdResult(frames=frames, lam=header.lam)
 
 
 def write_wakeup_results(path, results: list[WakeupResult]) -> None:
-    lines = [_dumps({"kind": "wakeup", "n_trials": len(results)})]
-    for r in results:
-        lines.append(
-            _dumps(
-                {
-                    "trial": int(r.trial),
-                    "start": int(r.start),
-                    "converged": bool(r.converged),
-                    "steps_used": int(r.steps_used),
-                    "proposal": None if r.proposal is None else int(r.proposal),
-                    "tau": float(r.tau),
-                    "distance_traveled": float(r.distance_traveled),
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_records(path, "wakeup", _WakeupHeader(n_trials=len(results)), results)
 
 
 def read_wakeup_results(path) -> list[WakeupResult]:
-    records = _parse_jsonl(path)
-    head = _read_header(records, "wakeup", path)
-    _require_keys(head, {"kind", "n_trials"}, f"{path} header")
-    body = records[1:]
-    if len(body) != int(head["n_trials"]):
-        raise DataError(f"{path}: trial count does not match header")
-    out = []
-    fields = {
-        "trial",
-        "start",
-        "converged",
-        "steps_used",
-        "proposal",
-        "tau",
-        "distance_traveled",
-    }
-    for idx, rec in enumerate(body):
-        where = f"{path} trial {idx}"
-        _require_keys(rec, fields, where)
-        prop = rec["proposal"]
-        out.append(
-            WakeupResult(
-                trial=int(rec["trial"]),
-                start=int(rec["start"]),
-                converged=bool(rec["converged"]),
-                steps_used=int(rec["steps_used"]),
-                proposal=None if prop is None else int(prop),
-                tau=float(rec["tau"]),
-                distance_traveled=float(rec["distance_traveled"]),
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# ground-truth labels
+    return _read_records(path, "wakeup", _WakeupHeader, WakeupResult, "n_trials")[1]
 
 
 def write_labels(path, labels: GroundTruthLabel) -> None:
-    lines = [
-        _dumps(
-            {
-                "kind": "labels",
-                "tol_m": float(labels.tol_m),
-                "tol_deg": float(labels.tol_deg),
-                "n_frames": len(labels),
-            }
-        )
-    ]
-    for t in range(len(labels)):
-        lines.append(
-            _dumps(
-                {
-                    "t": t,
-                    "within_map": bool(labels.within_map[t]),
-                    "true_node": int(labels.true_node[t]),
-                    "ok_nodes": [int(v) for v in labels.ok_nodes[t]],
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = _LabelsHeader(labels.tol_m, labels.tol_deg, n_frames=len(labels))
+    cols = zip(labels.within_map.tolist(), labels.true_node.tolist(), labels.ok_nodes)
+    rows = (_LabelRow(t, w, n, ok.tolist()) for t, (w, n, ok) in enumerate(cols))
+    _write_records(path, "labels", header, rows)
 
 
 def read_labels(path) -> GroundTruthLabel:
-    records = _parse_jsonl(path)
-    head = _read_header(records, "labels", path)
-    _require_keys(head, {"kind", "tol_m", "tol_deg", "n_frames"}, f"{path} header")
-    body = records[1:]
-    if len(body) != int(head["n_frames"]):
-        raise DataError(f"{path}: frame count does not match header")
-    within = np.zeros(len(body), dtype=bool)
-    true_node = np.zeros(len(body), dtype=int)
-    ok_nodes = []
-    for t, rec in enumerate(body):
-        where = f"{path} frame {t}"
-        _require_keys(rec, {"t", "within_map", "true_node", "ok_nodes"}, where)
-        if rec["t"] != t:
-            raise DataError(f"{where}: out-of-order t={rec['t']}")
-        within[t] = bool(rec["within_map"])
-        true_node[t] = int(rec["true_node"])
-        ok_nodes.append(np.array([int(v) for v in rec["ok_nodes"]], dtype=int))
+    header, rows = _read_records(path, "labels", _LabelsHeader, _LabelRow, "n_frames")
     return GroundTruthLabel(
-        within_map=within,
-        true_node=true_node,
-        ok_nodes=ok_nodes,
-        tol_m=float(head["tol_m"]),
-        tol_deg=float(head["tol_deg"]),
+        within_map=np.array([r.within_map for r in rows], dtype=bool),
+        true_node=np.array([r.true_node for r in rows], dtype=int),
+        ok_nodes=[np.array(r.ok_nodes, dtype=int) for r in rows],
+        tol_m=header.tol_m,
+        tol_deg=header.tol_deg,
     )
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.ndimage import gaussian_filter1d
 
+from ._records import Record
 from .errors import DataError
 from .geometry import Covariance3, OdometryStep, Pose2, compose, relative
 from .traverse import Frame, Traverse
@@ -45,7 +46,7 @@ _STREAM_RENDER = 1
 
 
 @dataclass(frozen=True)
-class Detour:
+class Detour(Record):
     """An off-map excursion replacing the path between two arc positions.
 
     Without explicit ``geometry`` the excursion is a smooth lateral bump:
@@ -70,29 +71,9 @@ class Detour:
                 raise DataError("explicit detour geometry needs >= 2 points")
             object.__setattr__(self, "geometry", geom)
 
-    def to_dict(self) -> dict:
-        return {
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "offset_m": self.offset_m,
-            "geometry": None
-            if self.geometry is None
-            else [list(p) for p in self.geometry],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Detour":
-        geometry = d.get("geometry")
-        return cls(
-            start_s=float(d["start_s"]),
-            end_s=float(d["end_s"]),
-            offset_m=float(d.get("offset_m", 14.0)),
-            geometry=None if geometry is None else tuple(tuple(p) for p in geometry),
-        )
-
 
 @dataclass(frozen=True)
-class RouteSpec:
+class RouteSpec(Record):
     """How to render one traverse of a world.
 
     ``sigma_app`` scales the appearance perturbation so that its expected
@@ -130,29 +111,9 @@ class RouteSpec:
             raise DataError("margin_m must be non-negative")
         object.__setattr__(self, "detours", tuple(self.detours))
 
-    def to_dict(self) -> dict:
-        return {
-            "spacing": self.spacing,
-            "sigma_app": self.sigma_app,
-            "sigma_xy": self.sigma_xy,
-            "sigma_theta": self.sigma_theta,
-            "cov_inflation": self.cov_inflation,
-            "cov_floor_xy": self.cov_floor_xy,
-            "cov_floor_theta": self.cov_floor_theta,
-            "margin_m": self.margin_m,
-            "detours": [d.to_dict() for d in self.detours],
-            "detour_alias": self.detour_alias,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RouteSpec":
-        d = dict(d)
-        detours = tuple(Detour.from_dict(x) for x in d.pop("detours", []))
-        return cls(detours=detours, **d)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """A named benchmark configuration: world size plus both route specs."""
 
     name: str
@@ -161,27 +122,6 @@ class ScenarioSpec:
     descriptor_dim: int
     ref: RouteSpec
     query: RouteSpec
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "length_m": self.length_m,
-            "descriptor_dim": self.descriptor_dim,
-            "ref": self.ref.to_dict(),
-            "query": self.query.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        return cls(
-            name=str(d["name"]),
-            description=str(d["description"]),
-            length_m=float(d["length_m"]),
-            descriptor_dim=int(d["descriptor_dim"]),
-            ref=RouteSpec.from_dict(d["ref"]),
-            query=RouteSpec.from_dict(d["query"]),
-        )
 
 
 @dataclass(eq=False)
@@ -198,13 +138,6 @@ class World:
     def n_samples(self) -> int:
         return self.positions.shape[0]
 
-    @property
-    def arc_length(self) -> float:
-        return (self.n_samples - 1) * self.resolution
-
-    def arc(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.resolution
-
 
 def generate_world(seed: int, length_m: float = 2000.0, d: int = 64) -> World:
     """Generate a smooth random world of the given arc length.
@@ -214,6 +147,8 @@ def generate_world(seed: int, length_m: float = 2000.0, d: int = 64) -> World:
     over a 3 m scale), so nearby samples look alike and distant samples look
     unrelated.
     """
+    if seed < 0:
+        raise DataError("seed must be non-negative")
     if not length_m > 0.0:
         raise DataError("length_m must be positive")
     if d < 1:
@@ -277,8 +212,6 @@ def _composite_polyline(world: World, route: RouteSpec):
             raise DataError("detour lies outside the path extent")
         if i1 - i0 < 2:
             raise DataError("detour is too short for the path resolution")
-        if i0 < cursor:
-            raise DataError("detours must not overlap")
         pts.append(world.positions[cursor : i0 + 1])
         flags.append(np.zeros(i0 + 1 - cursor, dtype=bool))
         srcs.append(np.arange(cursor, i0 + 1))

@@ -258,6 +258,8 @@ def run_wakeup_batch(
     """
     if n_trials < 1:
         raise DataError("n_trials must be at least 1")
+    if seed < 0:
+        raise DataError("seed must be non-negative")
     if len(query) < 2:
         raise DataError("wakeup needs a query of at least 2 frames")
     rng = np.random.default_rng([int(seed), 2])

@@ -18,7 +18,7 @@ from topoloc.formats import (
 )
 from topoloc.geometry import Covariance3, OdometryStep, Pose2
 from topoloc.mapping import build_map
-from topoloc.simulate import noiseless_scenario
+from topoloc.simulate import builtin_scenarios, noiseless_scenario
 from topoloc.traverse import Frame, Traverse
 
 
@@ -207,3 +207,129 @@ def test_forward_only_flag_changes_results(tmp_path, smoke_dir):
     t_sm = read_lcd_result(sm).taus()
     t_fw = read_lcd_result(fw).taus()
     assert not np.array_equal(t_sm, t_fw)
+
+
+def _one_error_line(capsys, kind: str) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(f"topoloc: {kind} error:") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"filter": {"k_min": "abc"}}',
+        '{"map": 5}',
+        '{"filter": {"lam": "x"}}',
+        '{"filter": {"forward_only": "false"}}',
+        '{"map": {"window": 2.7}}',
+    ],
+)
+def test_mistyped_config_exits_2(tmp_path, smoke_dir, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text + "\n")
+    data = smoke_dir / "data"
+    code = main(["lcd", "--map", str(data / "map.json"),
+                 "--query", str(data / "query.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg)])
+    assert code == 2
+    _one_error_line(capsys, "config")
+
+
+def _detour_typo(spec: dict) -> None:
+    detour = spec["query"]["detours"][0]
+    detour["ofset_m"] = detour.pop("offset_m")
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda spec: spec.update(colour="red"), _detour_typo],
+    ids=["top-level", "detour"],
+)
+def test_scenario_file_with_unknown_key_exits_2(tmp_path, capsys, mutate):
+    spec = builtin_scenarios()["S2"].to_dict()
+    mutate(spec)
+    scen = tmp_path / "scen.json"
+    write_json(scen, spec)
+    assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)]) == 2
+    _one_error_line(capsys, "config")
+
+
+def test_scenario_object_of_scenario_json_replays(tmp_path, smoke_dir):
+    data = smoke_dir / "data"
+    recorded = json.loads((data / "scenario.json").read_text())
+    assert main(["simulate", "--scenario", str(data / "scenario.json"),
+                 "--out", str(tmp_path / "wrapped")]) == 2
+    scen = tmp_path / "scen.json"
+    write_json(scen, recorded["scenario"])
+    out = tmp_path / "again"
+    assert main(["simulate", "--scenario", str(scen),
+                 "--seed", str(recorded["seed"]), "--out", str(out)]) == 0
+    for name in ("reference.jsonl", "query.jsonl", "scenario.json"):
+        assert (out / name).read_bytes() == (data / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def smoke_results(smoke_dir):
+    """lcd and wakeup results files for the smoke scenario."""
+    data = smoke_dir / "data"
+    paths = {"lcd": smoke_dir / "lcd.jsonl", "wakeup": smoke_dir / "wakeup.jsonl"}
+    for task, path in paths.items():
+        extra = ["--n-trials", "6"] if task == "wakeup" else []
+        assert main([task, "--map", str(data / "map.json"),
+                     "--query", str(data / "query.jsonl"), "--out", str(path),
+                     *extra]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "task,line,key,value",
+    [
+        ("lcd", 1, "tau", None),
+        ("lcd", 0, "n_frames", "x"),
+        ("wakeup", 1, "converged", "no"),
+        ("wakeup", 0, "n_trials", 6.5),
+    ],
+)
+def test_mistyped_results_exit_3(tmp_path, smoke_dir, smoke_results, capsys,
+                                 task, line, key, value):
+    lines = smoke_results[task].read_text().splitlines()
+    rec = json.loads(lines[line])
+    rec[key] = value
+    lines[line] = json.dumps(rec)
+    res = tmp_path / "r.jsonl"
+    res.write_text("\n".join(lines) + "\n")
+    data = smoke_dir / "data"
+    code = main(["eval", "--task", task, "--results", str(res),
+                 "--map", str(data / "map.json"), "--query", str(data / "query.jsonl"),
+                 "--out-curve", str(tmp_path / "pr.csv")])
+    assert code == 3
+    assert f"{key}: expected" in _one_error_line(capsys, "data")
+
+
+def test_mistyped_map_exits_3(tmp_path, smoke_dir, smoke_results, capsys):
+    data = smoke_dir / "data"
+    doc = json.loads((data / "map.json").read_text())
+    doc["n_nodes"] = "x"
+    write_json(tmp_path / "map.json", doc)
+    shutil.copy(data / "map.desc.bin", tmp_path / "map.desc.bin")
+    code = main(["eval", "--task", "lcd", "--results", str(smoke_results["lcd"]),
+                 "--map", str(tmp_path / "map.json"),
+                 "--query", str(data / "query.jsonl"),
+                 "--out-curve", str(tmp_path / "pr.csv")])
+    assert code == 3
+    _one_error_line(capsys, "data")
+
+
+@pytest.mark.parametrize(
+    "flags", [["--repeats", "0"], ["--n-nodes", "3"], ["--dim", "0"], ["--window", "1"]]
+)
+def test_bad_bench_arguments_exit_2(capsys, flags):
+    assert main(["bench", *flags]) == 2
+    _one_error_line(capsys, "config")
+
+
+def test_negative_seed_exits_3(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "S0", "--seed", "-1",
+                 "--out", str(tmp_path)]) == 3
+    _one_error_line(capsys, "data")

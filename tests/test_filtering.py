@@ -224,7 +224,7 @@ def test_convergence_ignores_off_mass_in_numerator():
     assert tau < 0.01
     d = decide(b, m, radius_m=3.0, tau_thres=0.01)
     assert not d.converged
-    assert d.node is None
+    assert d.mode == 0  # the mode is still reported, only not proposed
 
 
 def test_decide_strict_threshold():
@@ -234,7 +234,7 @@ def test_decide_strict_threshold():
     assert not d.converged  # tau == threshold is not enough
     d2 = decide(b, m, radius_m=3.0, tau_thres=0.89)
     assert d2.converged
-    assert d2.node == 0
+    assert d2.mode == 0
 
 
 def test_argmax_tie_goes_to_lowest_index():

@@ -305,6 +305,25 @@ def test_labels_roundtrip(tmp_path):
         assert a.tolist() == b.tolist()
 
 
+def test_labels_reader_rejects_mistyped_fields(tmp_path):
+    import json
+
+    labels = label_ground_truth(_small_traverse(), build_map(_small_traverse(), 2.0, 3))
+    p = tmp_path / "labels.jsonl"
+    write_labels(p, labels)
+    lines = p.read_text().splitlines()
+    for line, key, value in [(1, "ok_nodes", None), (1, "within_map", 1),
+                             (1, "true_node", 1.5), (0, "tol_m", "5")]:
+        rec = json.loads(lines[line])
+        rec[key] = value
+        bad = list(lines)
+        bad[line] = json.dumps(rec)
+        q = tmp_path / "bad.jsonl"
+        q.write_text("\n".join(bad) + "\n")
+        with pytest.raises(DataError, match=key):
+            read_labels(q)
+
+
 def test_pr_curve_roundtrip_exact(tmp_path):
     m = build_map(_small_traverse(), 2.0, 3)
     q = _small_traverse()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from topoloc.errors import DataError
+from topoloc.evaluate import label_ground_truth
 from topoloc.geometry import Pose2
 from topoloc.mapping import TopometricMap, build_map
 from topoloc.traverse import Frame, Traverse
@@ -93,11 +94,21 @@ def test_map_requires_consistent_shapes():
         TopometricMap(desc, band, 2.0)
 
 
-def test_build_map_rejects_gt_free_reference():
+def test_traverse_rejects_frames_without_odometry():
     rng = np.random.default_rng(0)
     frames = [Frame(rng.normal(size=4).astype(np.float32)) for _ in range(5)]
     with pytest.raises(DataError):
-        build_map(Traverse(frames), 2.0, 5)
+        Traverse(frames)
+
+
+def test_build_map_without_ground_truth_cannot_be_labelled():
+    ref = straight_reference(10, spacing=1.0)
+    gt_free = Traverse([Frame(f.descriptor, odom=f.odom) for f in ref.frames])
+    m = build_map(gt_free, 2.0, 3)
+    assert m.gt_poses is None
+    assert m.n_nodes == build_map(ref, 2.0, 3).n_nodes
+    with pytest.raises(DataError, match="map carries no ground-truth"):
+        label_ground_truth(ref, m)
 
 
 def test_build_map_curved_keeps_arc_spacing():
