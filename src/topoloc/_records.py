@@ -21,7 +21,7 @@ import typing
 
 from .errors import ConfigError
 
-__all__ = ["Record", "read_record", "record_dict"]
+__all__ = ["Record", "read_record", "read_value", "record_dict"]
 
 
 class _Invalid(Exception):
@@ -160,10 +160,22 @@ def read_record(cls, data, error: type[ValueError], where: str = ""):
     Any breach of the rule, or a ``ValueError`` from the record's own
     validation, raises ``error`` naming ``where`` and the path to the field.
     """
+    return read_value(cls, data, error, where)
+
+
+def read_value(hint, data, error: type[ValueError], where: str = ""):
+    """Cast a parsed JSON value by annotation ``hint``, as a record field is."""
     try:
-        return _build(cls, data)
+        return _reader(hint)(data)
     except _Invalid as exc:
+        if exc.path[:1] == "[":  # an item of the value ``where`` names
+            where, exc.path = where + exc.path, ""
         raise error(": ".join(filter(None, (where, exc.path, str(exc))))) from None
+
+
+@functools.cache
+def _reader(hint):
+    return _codec(hint)[0]
 
 
 def record_dict(record) -> dict:

@@ -1,7 +1,7 @@
 """Typed run configuration with a strict JSON round trip.
 
 Every tunable the CLI exposes lives here.  ``Config.from_dict`` rejects
-unknown keys and values of the wrong type, so a typo in a config file fails
+unknown keys and values of the wrong type or out of range, so a typo in a config file fails
 loudly instead of silently running with defaults.
 """
 
@@ -24,6 +24,12 @@ class MapConfig(Record):
 
     node_spacing: float = 2.0
     window: int = 5
+
+    def __post_init__(self):
+        if not self.node_spacing > 0.0:
+            raise ConfigError("node_spacing must be positive")
+        if self.window < 2:
+            raise ConfigError("window must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,14 @@ class TaskConfig(Record):
     max_steps: int = 30
     n_trials: int = 500
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_steps < 1:
+            raise ConfigError("max_steps must be at least 1")
+        if self.n_trials < 1:
+            raise ConfigError("n_trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ def label_ground_truth(
         raise DataError("map carries no ground-truth node poses")
     if not (tol_m > 0.0 and tol_deg > 0.0):
         raise DataError("tolerances must be positive")
-    gt = query.gt_array()
+    gt = query.gt_poses
     nodes = map_.gt_poses
     tol_rad = math.radians(tol_deg)
     dists = np.linalg.norm(gt[:, None, :2] - nodes[None, :, :2], axis=2)

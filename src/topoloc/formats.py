@@ -9,7 +9,9 @@ Traverse (``.jsonl`` plus sidecar ``.desc.bin``)
     One JSON object per frame with keys ``t``, ``gt_pose`` (``[x, y, theta]``
     or null) and ``odom`` (null on the first frame, else ``{"mean": [dx, dy,
     dtheta], "cov": [xx, xy, xt, yy, yt, tt]}``).  Descriptor row ``t`` of
-    the sidecar belongs to frame ``t``.
+    the sidecar belongs to frame ``t``.  The rows are read straight into the
+    columns of one :class:`Traverse` and written from them; no per-frame
+    object is built either way.
 Map (``.json`` plus sidecar ``.desc.bin``)
     Single JSON document; the relative-pose band is stored as rows
     ``[i, j, dx, dy, dtheta]`` for every edge ``i -> j`` the band covers.
@@ -22,26 +24,27 @@ Precision-recall curve (``.csv``)
 
 Writers are deterministic: fixed key order, compact separators, and
 shortest-roundtrip float text, so identical inputs produce identical bytes.
-Readers validate strictly and raise ``DataError`` on any malformed input.
+Readers validate strictly and raise ``DataError`` on any malformed input;
+every JSON value, traverse rows and band rows included, is cast by the
+record rule of ``_records`` (a number must be a JSON number, not a string
+or a boolean).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, make_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._records import read_record, record_dict
+from ._records import read_record, read_value, record_dict
 from .errors import DataError
 from .evaluate import GroundTruthLabel, PrCurve
-from .geometry import Covariance3, OdometryStep, Pose2
 from .mapping import TopometricMap
 from .tasks import LcdFrame, LcdResult, WakeupResult
-from .traverse import Frame, Traverse
+from .traverse import Traverse
 
 __all__ = [
     "descriptor_sidecar",
@@ -119,18 +122,6 @@ def _require_keys(rec, keys: set, where: str) -> None:
         raise DataError(f"{where}: expected a JSON object with keys {sorted(keys)}")
 
 
-def _floats(values, n: int, where: str) -> list[float]:
-    if not isinstance(values, list) or len(values) != n:
-        raise DataError(f"{where}: expected a list of {n} numbers")
-    try:
-        out = [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: expected a list of {n} numbers") from exc
-    if not all(math.isfinite(v) for v in out):
-        raise DataError(f"{where}: expected finite numbers, got {out}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # descriptor matrices
 
@@ -182,32 +173,27 @@ def descriptor_sidecar(path) -> Path:
 # traverses
 
 
-def _pose_to_list(p: Pose2) -> list[float]:
-    return [p.dx, p.dy, p.dtheta]
-
-
-def _pose_from_list(values, where: str) -> Pose2:
-    return Pose2(*_floats(values, 3, where))
+_FRAME_KEYS = {"t", "gt_pose", "odom"}
+_POSE = tuple[float, float, float]
+_UPPER = tuple[float, float, float, float, float, float]
+# covariance entries as a frame record lists them: xx, xy, xt, yy, yt, tt
+_UPPER_ROWS, _UPPER_COLS = np.triu_indices(3)
 
 
 def write_traverse(path, traverse: Traverse) -> None:
     """Write frames to ``path`` (JSONL) and descriptors to the sidecar file."""
     p = Path(path)
-    write_descriptor_matrix(descriptor_sidecar(p), traverse.descriptor_matrix())
-    lines = []
-    for t, fr in enumerate(traverse.frames):
-        odom = None
-        if fr.odom is not None:
-            odom = {
-                "mean": _pose_to_list(fr.odom.mean),
-                "cov": [float(v) for v in fr.odom.cov.to_upper()],
-            }
-        rec = {
-            "t": t,
-            "gt_pose": None if fr.gt_pose is None else _pose_to_list(fr.gt_pose),
-            "odom": odom,
-        }
-        lines.append(_dumps(rec))
+    write_descriptor_matrix(descriptor_sidecar(p), traverse.descriptors)
+    gts = traverse.gt_poses.tolist() if traverse.has_gt else [None] * len(traverse)
+    uppers = traverse.odom_covs[:, _UPPER_ROWS, _UPPER_COLS].tolist()
+    odoms = [None] + [
+        {"mean": mean, "cov": cov}
+        for mean, cov in zip(traverse.odom_means.tolist(), uppers)
+    ]
+    lines = [
+        _dumps({"t": t, "gt_pose": gt, "odom": odom})
+        for t, (gt, odom) in enumerate(zip(gts, odoms))
+    ]
     p.write_text("\n".join(lines) + "\n")
 
 
@@ -220,32 +206,33 @@ def read_traverse(path) -> Traverse:
             f"{p}: {len(records)} frames but descriptor file has "
             f"{matrix.shape[0]} rows"
         )
-    frames = []
+    gts, means, uppers = [], [], []
     for t, rec in enumerate(records):
         where = f"{p} frame {t}"
-        _require_keys(rec, {"t", "gt_pose", "odom"}, where)
-        if rec["t"] != t:
+        _require_keys(rec, _FRAME_KEYS, where)
+        if read_value(int, rec["t"], DataError, f"{where}: t") != t:
             raise DataError(f"{where}: out-of-order t={rec['t']}")
-        gt = rec["gt_pose"]
+        if rec["gt_pose"] is not None:
+            gts.append(read_value(_POSE, rec["gt_pose"], DataError, f"{where}: gt_pose"))
         odom = rec["odom"]
-        step = None
-        if odom is not None:
-            _require_keys(odom, {"mean", "cov"}, f"{where} odom")
-            try:
-                cov = Covariance3.from_upper(_floats(odom["cov"], 6, f"{where} cov"))
-            except ValueError as exc:
-                raise DataError(f"{where}: invalid covariance: {exc}") from exc
-            step = OdometryStep(
-                mean=_pose_from_list(odom["mean"], f"{where} mean"), cov=cov
-            )
-        frames.append(
-            Frame(
-                descriptor=matrix[t],
-                odom=step,
-                gt_pose=None if gt is None else _pose_from_list(gt, where),
-            )
-        )
-    return Traverse(frames)
+        if t == 0:
+            if odom is not None:
+                raise DataError(f"{where}: the first frame must not carry odometry")
+            continue
+        _require_keys(odom, {"mean", "cov"}, f"{where}: odom")
+        means.append(read_value(_POSE, odom["mean"], DataError, f"{where}: odom.mean"))
+        uppers.append(read_value(_UPPER, odom["cov"], DataError, f"{where}: odom.cov"))
+    if len(gts) not in (0, len(records)):
+        raise DataError(f"{p}: ground truth must be present on all frames or none")
+    upper = np.array(uppers).reshape(-1, 6)
+    covs = np.empty((len(upper), 3, 3))
+    covs[:, _UPPER_ROWS, _UPPER_COLS] = upper
+    covs[:, _UPPER_COLS, _UPPER_ROWS] = upper
+    means = np.array(means).reshape(-1, 3)
+    try:
+        return Traverse(matrix, means, covs, np.array(gts) if gts else None)
+    except DataError as exc:
+        raise DataError(f"{p}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +241,14 @@ def read_traverse(path) -> Traverse:
 
 @dataclass(frozen=True)
 class _MapDoc:
-    """A map document; ``band`` rows are checked one by one on reading."""
+    """A map document; ``band`` holds one ``[i, j, dx, dy, dtheta]`` row per edge."""
 
     n_nodes: int
     window: int
     node_spacing: float
     descriptor_dim: int
     descriptor_file: str
-    band: list
+    band: tuple[tuple[int, int, float, float, float], ...]
     gt_poses: tuple[tuple[float, float, float], ...] | None
     frame_indices: tuple[int, ...] | None
 
@@ -303,15 +290,13 @@ def read_map(path) -> TopometricMap:
         )
     band = np.full((n, window, 3), np.nan)
     band[:, 0, :] = 0.0
-    for row in doc.band:
-        vals = _floats(row, 5, f"{p} band row")
-        i, j = int(vals[0]), int(vals[1])
+    for i, j, *pose in doc.band:
         k = j - i
         if not (0 <= i < n and 1 <= k < window and j <= n - 1):
             raise DataError(f"{p}: band row has invalid edge {i} -> {j}")
         if not np.isnan(band[i, k, 0]):
             raise DataError(f"{p}: duplicate band entry for edge {i} -> {j}")
-        band[i, k] = vals[2:]
+        band[i, k] = pose
     gt, fi = doc.gt_poses, doc.frame_indices
     try:
         return TopometricMap(

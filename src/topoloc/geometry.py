@@ -36,6 +36,11 @@ def wrap_angle(theta):
     float or ndarray
         Wrapped angle(s), same shape as the input.
     """
+    if type(theta) is float:  # the same steps on one Python float, bit for bit
+        if not math.isfinite(theta):
+            raise ValueError("wrap_angle requires finite input")
+        shifted = math.fmod(theta + math.pi, _TWO_PI)
+        return (shifted + _TWO_PI if shifted <= 0.0 else shifted) - math.pi
     arr = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_angle requires finite input")
@@ -64,10 +69,6 @@ class Pose2:
         object.__setattr__(self, "dy", float(self.dy))
         object.__setattr__(self, "dtheta", wrap_angle(float(self.dtheta)))
 
-    @classmethod
-    def identity(cls) -> "Pose2":
-        return cls(0.0, 0.0, 0.0)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dtheta], dtype=float)
 
@@ -76,51 +77,80 @@ class Pose2:
         return math.hypot(self.dx, self.dy)
 
 
-def compose(a: Pose2, b: Pose2) -> Pose2:
-    """Chain two relative poses: first ``a``, then ``b`` in ``a``'s end frame.
+def compose_poses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Chain relative poses row by row: first ``a``, then ``b`` in ``a``'s end frame.
 
-    The rotation of ``a`` acts on the translation of ``b``::
+    ``a`` and ``b`` hold ``(dx, dy, dtheta)`` on their last axis and
+    broadcast against each other.  The rotation of ``a`` acts on the
+    translation of ``b``::
 
         dx = a.dx + cos(a.dtheta) * b.dx - sin(a.dtheta) * b.dy
         dy = a.dy + sin(a.dtheta) * b.dx + cos(a.dtheta) * b.dy
         dtheta = wrap(a.dtheta + b.dtheta)
     """
-    c = math.cos(a.dtheta)
-    s = math.sin(a.dtheta)
-    return Pose2(
-        a.dx + c * b.dx - s * b.dy,
-        a.dy + s * b.dx + c * b.dy,
-        a.dtheta + b.dtheta,
-    )
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.cos(a[..., 2])
+    s = np.sin(a[..., 2])
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 0] + c * b[..., 0] - s * b[..., 1]
+    out[..., 1] = a[..., 1] + s * b[..., 0] + c * b[..., 1]
+    out[..., 2] = wrap_angle(a[..., 2] + b[..., 2])
+    return out
 
 
-def inverse(a: Pose2) -> Pose2:
-    """The relative pose undoing ``a``: ``compose(a, inverse(a))`` is identity."""
-    c = math.cos(a.dtheta)
-    s = math.sin(a.dtheta)
-    return Pose2(-(c * a.dx + s * a.dy), -(-s * a.dx + c * a.dy), -a.dtheta)
+def inverse_poses(a: np.ndarray) -> np.ndarray:
+    """The relative poses undoing ``a`` row by row.
 
-
-def relative(a: Pose2, b: Pose2) -> Pose2:
-    """Pose of ``b`` expressed in the frame of ``a`` (both given in one frame)."""
-    return compose(inverse(a), b)
-
-
-def interpolate_pose(a: Pose2, b: Pose2, s: float) -> Pose2:
-    """Componentwise linear interpolation from ``a`` (s=0) to ``b`` (s=1).
-
-    The angle is interpolated on the unwrapped representative of ``b``
-    relative to ``a``, i.e. along the short way around the circle.
+    ``compose_poses(a, inverse_poses(a))`` is the identity pose.
     """
-    ddx = b.dx - a.dx
-    ddy = b.dy - a.dy
-    ddt = wrap_angle(b.dtheta - a.dtheta)
-    return Pose2(a.dx + s * ddx, a.dy + s * ddy, a.dtheta + s * ddt)
+    a = np.asarray(a, dtype=float)
+    c = np.cos(a[..., 2])
+    s = np.sin(a[..., 2])
+    out = np.empty(a.shape)
+    out[..., 0] = -(c * a[..., 0] + s * a[..., 1])
+    out[..., 1] = -(-s * a[..., 0] + c * a[..., 1])
+    out[..., 2] = wrap_angle(-a[..., 2])
+    return out
 
 
-def mean_pose(a: Pose2, b: Pose2) -> Pose2:
-    """Midpoint of two poses, averaging angles on unwrapped representatives."""
-    return interpolate_pose(a, b, 0.5)
+def translation_norms(poses: np.ndarray) -> np.ndarray:
+    """``hypot(dx, dy)`` of each pose row, rounded as :attr:`Pose2.translation_norm` is.
+
+    ``math.hypot`` on each row: ``np.hypot`` rounds differently on some
+    inputs, and accumulated step lengths must not depend on the layout.
+    """
+    dx, dy = poses[:, 0].tolist(), poses[:, 1].tolist()
+    return np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+
+
+def validated_covariances(m: np.ndarray, error: type[ValueError], name) -> np.ndarray:
+    """Check a stack of 3x3 covariances ``(K, 3, 3)``; return it symmetrised.
+
+    Every matrix must be finite, symmetric to 1e-12 and positive definite
+    (one batched Cholesky factorisation).  A breach raises ``error`` with a
+    message that starts with ``name(k)``, the label of the first offending
+    matrix ``k``.
+    """
+    m = np.array(m, dtype=float)
+    if m.ndim != 3 or m.shape[1:] != (3, 3):
+        raise error(f"{name(0)} must be 3x3, got {m.shape[1:]}")
+    bad = ~np.isfinite(m).all(axis=(1, 2))
+    if bad.any():
+        raise error(f"{name(int(np.argmax(bad)))} must be finite")
+    bad = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12
+    if bad.any():
+        raise error(f"{name(int(np.argmax(bad)))} must be symmetric to 1e-12")
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        for k in range(len(m)):  # the stack failed: find its first failure
+            try:
+                np.linalg.cholesky(m[k])
+            except np.linalg.LinAlgError:
+                raise error(f"{name(k)} must be positive definite") from None
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,18 +165,8 @@ class Covariance3:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"covariance must be 3x3, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("covariance must be finite")
-        if np.abs(m - m.T).max() > 1e-12:
-            raise ValueError("covariance must be symmetric to 1e-12")
-        m = 0.5 * (m + m.T)
-        try:
-            np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance must be positive definite") from None
+        m = np.asarray(self.matrix)[None]
+        m = validated_covariances(m, ValueError, lambda k: "covariance")[0]
         prec = np.linalg.inv(m)
         prec = 0.5 * (prec + prec.T)
         m.setflags(write=False)
@@ -167,20 +187,6 @@ class Covariance3:
         m = self.matrix
         return [m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2]]
 
-    @classmethod
-    def from_upper(cls, entries) -> "Covariance3":
-        e = [float(v) for v in entries]
-        if len(e) != 6:
-            raise ValueError(f"expected 6 upper-triangular entries, got {len(e)}")
-        m = np.array(
-            [
-                [e[0], e[1], e[2]],
-                [e[1], e[3], e[4]],
-                [e[2], e[4], e[5]],
-            ]
-        )
-        return cls(m)
-
 
 @dataclass(frozen=True, eq=False)
 class OdometryStep:
@@ -188,60 +194,6 @@ class OdometryStep:
 
     mean: Pose2
     cov: Covariance3
-
-
-def mahalanobis_sq(x: Pose2, mu: Pose2, sigma: Covariance3) -> float:
-    """Squared Mahalanobis distance of ``x`` from ``mu`` under ``sigma``.
-
-    The angular residual is wrapped to ``(-pi, pi]`` before weighting, so a
-    residual of ``2*pi - eps`` scores like ``eps``.
-    """
-    r = np.array(
-        [x.dx - mu.dx, x.dy - mu.dy, wrap_angle(x.dtheta - mu.dtheta)]
-    )
-    return float(r @ sigma.precision @ r)
-
-
-def min_mahalanobis_on_segments(
-    lo: np.ndarray, hi: np.ndarray, mu, sigma: Covariance3
-):
-    """Vectorized minimum squared Mahalanobis distance over pose segments.
-
-    Each row of ``lo``/``hi`` is one segment ``T(s) = (1-s)*lo + s*hi`` with
-    the angle interpolated on the unwrapped representative of ``hi`` relative
-    to ``lo``.  ``mu`` is a single query pose shared by all rows; its angle
-    is likewise brought to the representative nearest ``lo`` before the
-    residual is formed.  The per-row minimizer is the closed-form solution of
-    the 1-D quadratic, clamped to ``[0, 1]``; rows whose endpoints coincide
-    to within 1e-12 degenerate to the point distance at ``s = 0``.
-
-    This is :func:`segment_directions` (which depends on the segments only)
-    followed by :func:`min_mahalanobis_on_directed_segments` (which depends
-    on the query), both on the transposed ``(3, K)`` layout; callers scoring
-    many queries against fixed segments keep the first part's result.
-
-    Parameters
-    ----------
-    lo, hi : ndarray, shape (K, 3)
-        Segment endpoint poses as raw ``(dx, dy, dtheta)`` rows.
-    mu : Pose2 or array-like of shape (3,)
-        Query pose.
-    sigma : Covariance3
-        Weighting covariance.
-
-    Returns
-    -------
-    d2 : ndarray, shape (K,)
-        Minimum squared Mahalanobis distances (non-negative).
-    s : ndarray, shape (K,)
-        Arg-min interpolation parameters in ``[0, 1]``.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.ndim != 2 or lo.shape[1] != 3 or lo.shape != hi.shape:
-        raise ValueError("segment endpoint arrays must both have shape (K, 3)")
-    u, degenerate = segment_directions(lo.T, hi.T)
-    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, sigma)
 
 
 def segment_directions(lo: np.ndarray, hi: np.ndarray):
@@ -261,11 +213,16 @@ def segment_directions(lo: np.ndarray, hi: np.ndarray):
 def min_mahalanobis_on_directed_segments(
     lo: np.ndarray, u: np.ndarray, degenerate: np.ndarray, mu, sigma: Covariance3
 ):
-    """The query-dependent part of :func:`min_mahalanobis_on_segments`.
+    """Minimum squared Mahalanobis distance from ``mu`` to each pose segment.
 
-    ``lo`` holds the segment starts as columns, shape ``(3, K)``, and ``u``,
-    ``degenerate`` are their :func:`segment_directions`; each row is then one
-    contiguous pass.  Returns the ``(K,)`` pair ``(d2, s)``.
+    Segment ``k`` is ``T(s) = lo_k + s * u_k`` for ``s`` in ``[0, 1]``:
+    ``lo`` holds the starts as columns, shape ``(3, K)``, and ``u``,
+    ``degenerate`` are their :func:`segment_directions`, which depend on the
+    segments only and are kept by callers that score many queries.  The
+    angle of ``mu`` is brought to the representative nearest each start.
+    The minimiser is the closed-form solution of the 1-D quadratic, clamped
+    to ``[0, 1]``; degenerate segments score the point distance at
+    ``s = 0``.  Returns the ``(K,)`` pair ``(d2, s)``.
     """
     if isinstance(mu, Pose2):
         mu = mu.as_array()
@@ -285,20 +242,6 @@ def min_mahalanobis_on_directed_segments(
     r -= s * u
     d2 = np.einsum("ik,ik->k", prec @ r, r)
     return np.maximum(d2, 0.0, out=d2), s
-
-
-def min_mahalanobis_on_segment(
-    a: Pose2, b: Pose2, mu: Pose2, sigma: Covariance3
-) -> tuple[float, float]:
-    """Minimum squared Mahalanobis distance from ``mu`` to the segment a--b.
-
-    Scalar form of :func:`min_mahalanobis_on_segments`; returns the pair
-    ``(d2, s_star)``.
-    """
-    d2, s = min_mahalanobis_on_segments(
-        a.as_array()[None, :], b.as_array()[None, :], mu, sigma
-    )
-    return float(d2[0]), float(s[0])
 
 
 def chi2_cdf_3(d2):

@@ -1,8 +1,9 @@
 """The place graph: subsampled reference frames plus a banded relative-pose table.
 
 A map holds ``N`` ordered nodes.  Node ``i`` stores the reference descriptor
-taken at its frame; the band stores the relative pose ``rel_pose(i, j)`` for
-every ``j`` with ``0 <= j - i < window``, accumulated from odometry.  The
+taken at its frame; the band stores the relative pose from node ``i`` to
+node ``j`` for every ``j`` with ``0 <= j - i < window``, accumulated from
+odometry.  The
 directed edge set used by the motion model is exactly ``{i -> j : j > i,
 j - i < window}``.
 """
@@ -14,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .geometry import Pose2, compose, segment_directions, wrap_angle
+from .geometry import compose_poses, segment_directions, translation_norms, wrap_angle
 from .traverse import Traverse
 
 
@@ -96,117 +97,51 @@ class TopometricMap:
         out.setflags(write=False)
         return out
 
-    def rel_pose(self, i: int, j: int) -> Pose2:
-        """Relative pose from node ``i`` to node ``j`` (``0 <= j - i < window``)."""
-        self._check_node(i)
-        self._check_node(j)
-        k = j - i
-        if k < 0 or k >= self.window:
-            raise DataError(f"rel_pose({i}, {j}) is outside the stored band")
-        return Pose2(*self.band[i, k])
-
-    def segment_endpoints(self, i: int, j: int) -> tuple[Pose2, Pose2]:
-        """Endpoints of the trajectory segment scored for the edge ``i -> j``.
-
-        The segment runs between the midpoints toward the predecessor and
-        successor of ``j`` as seen from ``i``:
-
-        * low endpoint: midpoint of ``rel_pose(i, j-1)`` and ``rel_pose(i, j)``
-          (for ``j = i + 1`` the predecessor is the identity pose);
-        * high endpoint: midpoint of ``rel_pose(i, j)`` and
-          ``rel_pose(i, j+1)``, or ``rel_pose(i, j)`` itself when ``j + 1``
-          falls outside the map or the band.
-
-        Angle averaging happens on unwrapped representatives.
-        """
-        self._check_node(i)
-        self._check_node(j)
-        k = j - i
-        if k < 1 or k >= self.window:
-            raise DataError(f"edge {i} -> {j} does not exist")
-        lo_arr, hi_arr, valid = self.segment_table()
-        if not valid[k - 1, i]:
-            raise DataError(f"edge {i} -> {j} does not exist")
-        return Pose2(*lo_arr[k - 1, i]), Pose2(*hi_arr[k - 1, i])
-
-    @cached_property
-    def _segment_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n, w = self.n_nodes, self.window
-        band = self.band
-        lo = np.full((w - 1, n, 3), np.nan)
-        hi = np.full((w - 1, n, 3), np.nan)
-        valid = np.zeros((w - 1, n), dtype=bool)
-        idx = np.arange(n)
-        for k in range(1, w):
-            ok = idx + k <= n - 1
-            valid[k - 1] = ok
-            cur = band[:, k, :]
-            prev = band[:, k - 1, :]
-            lo[k - 1] = _mean_pose_rows(prev, cur)
-            # successor midpoint exists only while i + k + 1 stays on the map
-            # and k + 1 stays inside the band
-            if k + 1 < w:
-                succ_ok = idx + k + 1 <= n - 1
-                nxt = band[:, k + 1, :]
-                mid = _mean_pose_rows(cur, nxt)
-                hi[k - 1] = np.where(succ_ok[:, None], mid, cur)
-            else:
-                hi[k - 1] = cur
-            lo[k - 1][~ok] = np.nan
-            hi[k - 1][~ok] = np.nan
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        valid.setflags(write=False)
-        return lo, hi, valid
-
-    def segment_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Precomputed segment endpoints for every banded edge.
-
-        Returns ``(lo, hi, valid)`` with shapes ``(window-1, N, 3)`` twice and
-        ``(window-1, N)``; slot ``[k-1, i]`` covers the edge ``i -> i + k``.
-        Rows where ``valid`` is False hold NaN.
-        """
-        return self._segment_table
-
     @cached_property
     def edge_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Map-only inputs of the motion model, computed once per map.
 
-        ``(starts, u, degenerate, valid)``: the segment starts and wrapped
-        directions as contiguous ``(3, (window-1) * N + 1)`` arrays, whose
-        column ``(k-1) * N + i`` is edge ``i -> i + k`` (NaN set to zero) and
-        whose last column is the final node's stay-in-place hypothesis, a
-        degenerate segment at the identity pose; their degenerate mask; and
-        the ``(window, N)`` edge mask of a transition model, where slot
-        ``[k, i]`` covers ``i -> i + k`` and offset 0 holds only the final
-        node's self-transition.
+        The edge ``i -> j`` is scored against the trajectory segment between
+        the midpoints toward the predecessor and successor of ``j`` as seen
+        from ``i``: from the midpoint of the band poses ``i -> j-1`` and
+        ``i -> j`` (identity for ``j = i + 1``) to the midpoint of ``i -> j``
+        and ``i -> j+1``, or to ``i -> j`` itself when ``j + 1`` falls outside
+        the map or the band.  Midpoint angles average the short way round.
+
+        Returns ``(starts, u, degenerate, valid)``: the segment starts and
+        wrapped directions as contiguous ``(3, (window-1) * N + 1)`` arrays,
+        whose column ``(k-1) * N + i`` is edge ``i -> i + k`` (zero where the
+        edge does not exist) and whose last column is the final node's
+        stay-in-place hypothesis, a degenerate segment at the identity pose;
+        their degenerate mask; and the ``(window, N)`` edge mask of a
+        transition model, where slot ``[k, i]`` covers ``i -> i + k`` and
+        offset 0 holds only the final node's self-transition.
         """
-        lo, hi, seg_valid = self._segment_table
-        n, w = self.n_nodes, self.window
+        n, w, band = self.n_nodes, self.window, self.band
         starts = np.zeros((3, (w - 1) * n + 1))
         ends = np.zeros_like(starts)
-        starts[:, :-1] = np.nan_to_num(lo.reshape(-1, 3)).T
-        ends[:, :-1] = np.nan_to_num(hi.reshape(-1, 3)).T
-        u, degenerate = segment_directions(starts, ends)
         valid = np.zeros((w, n), dtype=bool)
         valid[0, n - 1] = True
-        valid[1:, :] = seg_valid
+        for k in range(1, min(w, n)):
+            rows = n - k  # edges i -> i + k that stay on the map
+            cur = band[:rows, k]
+            hi = cur.copy()
+            if k + 1 < w:
+                hi[: rows - 1] = _mean_pose_rows(cur[: rows - 1], band[: rows - 1, k + 1])
+            cols = slice((k - 1) * n, (k - 1) * n + rows)
+            starts[:, cols] = _mean_pose_rows(band[:rows, k - 1], cur).T
+            ends[:, cols] = hi.T
+            valid[k, :rows] = True
+        u, degenerate = segment_directions(starts, ends)
         for arr in (starts, u, degenerate, valid):
             arr.setflags(write=False)
         return starts, u, degenerate, valid
-
-    def _check_node(self, i: int):
-        if not 0 <= i < self.n_nodes:
-            raise DataError(f"node index {i} out of range [0, {self.n_nodes})")
 
 
 def _mean_pose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rowwise pose midpoint with angle averaging on unwrapped representatives."""
     out = 0.5 * (a + b)
-    with np.errstate(invalid="ignore"):
-        dt = b[:, 2] - a[:, 2]
-    dt = np.where(np.isfinite(dt), dt, 0.0)
-    out[:, 2] = a[:, 2] + 0.5 * wrap_angle(dt)
+    out[:, 2] = a[:, 2] + 0.5 * wrap_angle(b[:, 2] - a[:, 2])
     return out
 
 
@@ -229,13 +164,11 @@ def build_map(reference: Traverse, node_spacing: float, window: int) -> Topometr
     if int(window) < 2:
         raise DataError("window must be at least 2")
     window = int(window)
-    if len(reference) < 2:
-        raise DataError("reference traverse must contain at least 2 frames")
 
     selected = [0]
     acc = 0.0
-    for t in range(1, len(reference)):
-        acc += reference.frames[t].odom.mean.translation_norm
+    for t, step in enumerate(translation_norms(reference.odom_means).tolist(), 1):
+        acc += step
         if acc >= node_spacing:
             selected.append(t)
             acc = 0.0
@@ -244,32 +177,26 @@ def build_map(reference: Traverse, node_spacing: float, window: int) -> Topometr
             "reference traverse is shorter than one node spacing interval"
         )
 
+    # relative pose between consecutive selected frames: compose the
+    # odometry means in between, for every interval at once
     n = len(selected)
-    # relative pose between consecutive selected frames
-    steps: list[Pose2] = []
-    for a, b in zip(selected[:-1], selected[1:]):
-        p = Pose2.identity()
-        for t in range(a + 1, b + 1):
-            p = compose(p, reference.frames[t].odom.mean)
-        steps.append(p)
+    first = np.array(selected[:-1])
+    length = np.diff(selected)
+    steps = np.zeros((n - 1, 3))
+    for j in range(length.max()):
+        live = length > j
+        steps[live] = compose_poses(steps[live], reference.odom_means[first[live] + j])
 
     band = np.full((n, window, 3), np.nan)
     band[:, 0, :] = 0.0
-    for i in range(n):
-        acc_pose = Pose2.identity()
-        for k in range(1, window):
-            j = i + k
-            if j > n - 1:
-                break
-            acc_pose = compose(acc_pose, steps[j - 1])
-            band[i, k] = acc_pose.as_array()
+    acc_pose = np.zeros((n, 3))
+    for k in range(1, min(window, n)):
+        rows = n - k
+        acc_pose[:rows] = compose_poses(acc_pose[:rows], steps[k - 1 : k - 1 + rows])
+        band[:rows, k] = acc_pose[:rows]
 
-    descriptors = np.stack([reference.frames[t].descriptor for t in selected])
-    gt = None
-    if reference.has_gt:
-        gt = np.array(
-            [reference.frames[t].gt_pose.as_array() for t in selected]
-        )
+    descriptors = reference.descriptors[selected]
+    gt = reference.gt_poses[selected] if reference.has_gt else None
     return TopometricMap(
         descriptors,
         band,

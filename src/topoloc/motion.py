@@ -74,9 +74,8 @@ class TransitionModel:
     off-map row is ``off_self`` on itself and uniform ``(1 - off_self) / N``
     into each node; see :meth:`off_out`.  Rows must sum to one within 1e-9.
 
-    The dense matrix is never materialized outside :meth:`to_dense` (a test
-    and debugging aid); propagation touches only the stored O(N * window)
-    entries.
+    The dense matrix is never materialized: propagation touches only the
+    stored O(N * window) entries.
     """
 
     def __init__(
@@ -119,16 +118,6 @@ class TransitionModel:
         """Per-node probability of leaving the off-map state into the map."""
         return (1.0 - self.off_self) / self.n_nodes
 
-    def within(self, i: int) -> list[tuple[int, float]]:
-        """Outgoing within-map transitions of node ``i`` as ``(j, prob)`` pairs."""
-        if not 0 <= i < self.n_nodes:
-            raise ValueError(f"node index {i} out of range")
-        return [
-            (i + k, float(self.within_probs[k, i]))
-            for k in range(self.window)
-            if self.valid[k, i]
-        ]
-
     def propagate(self, alpha: np.ndarray) -> np.ndarray:
         """Row-vector product ``alpha @ E`` over the banded structure.
 
@@ -163,19 +152,6 @@ class TransitionModel:
         out[:n] += self.to_off * v[n]
         out[n] = self.off_self * v[n] + self.off_out * v_within.sum()
         return out
-
-    def to_dense(self) -> np.ndarray:
-        """Dense ``(N+1, N+1)`` matrix, for tests and small-scale debugging."""
-        n = self.n_nodes
-        dense = np.zeros((n + 1, n + 1))
-        for k in range(self.window):
-            for i in range(n - k if k else n):
-                if self.valid[k, i]:
-                    dense[i, i + k] = self.within_probs[k, i]
-        dense[:n, n] = self.to_off
-        dense[n, :n] = self.off_out
-        dense[n, n] = self.off_self
-        return dense
 
 
 def build_transition_model(

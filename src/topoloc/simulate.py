@@ -19,8 +19,8 @@ from scipy.ndimage import gaussian_filter1d
 
 from ._records import Record
 from .errors import DataError
-from .geometry import Covariance3, OdometryStep, Pose2, compose, relative
-from .traverse import Frame, Traverse
+from .geometry import compose_poses, inverse_poses, translation_norms, wrap_angle
+from .traverse import Traverse
 
 __all__ = [
     "Detour",
@@ -256,55 +256,57 @@ def render_traverse(world: World, route: RouteSpec, seed: int) -> Traverse:
     if usable <= 0.0 or n_frames < 2:
         raise DataError("route is shorter than one frame spacing")
 
+    # one block of normals, consumed as the per-frame draws were: the first
+    # frame's appearance noise, then appearance and odometry noise per step
     d = world.latents.shape[1]
-    sqrt_d = math.sqrt(d)
+    normals = rng.standard_normal(d + (n_frames - 1) * (d + 3))
+    steps = normals[d:].reshape(n_frames - 1, d + 3)
+    noise = np.vstack([normals[None, :d], steps[:, :d]])
+
+    s = route.margin_m + np.arange(n_frames) * route.spacing
+    i = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seglen) - 1)
+    frac = (s - cum[i]) / seglen[i]
+    gt = np.empty((n_frames, 3))
+    gt[:, :2] = pts[i] + frac[:, None] * diffs[i]
+    # math.atan2 per frame: np.arctan2 rounds differently on some inputs
+    heading = map(math.atan2, diffs[i, 1].tolist(), diffs[i, 0].tolist())
+    gt[:, 2] = wrap_angle(np.fromiter(heading, float, n_frames))
+    near = np.where(frac < 0.5, i, i + 1)
+    on_detour = flags[near]
+
     m = world.n_samples
-    frames: list[Frame] = []
-    prev_gt: Pose2 | None = None
-    for t in range(n_frames):
-        s = route.margin_m + t * route.spacing
-        i = int(np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(seglen) - 1))
-        frac = (s - cum[i]) / seglen[i]
-        pos = pts[i] + frac * diffs[i]
-        heading = math.atan2(diffs[i, 1], diffs[i, 0])
-        near = i if frac < 0.5 else i + 1
-        on_detour = bool(flags[near])
-        src = int(srcs[near])
-        gt = Pose2(float(pos[0]), float(pos[1]), heading)
+    base = np.where(on_detour, (srcs[near] + m // 2) % m, srcs[near])
+    if route.sigma_app == 0.0:
+        descriptors = world.latents[base]
+    else:
+        vec = world.latents[base].astype(np.float64)
+        vec = vec + route.sigma_app * noise / math.sqrt(d)
+        descriptors = (vec / _row_norms(vec)).astype(np.float32)
+    if not route.detour_alias:
+        fresh = noise[on_detour]
+        descriptors[on_detour] = (fresh / _row_norms(fresh)).astype(np.float32)
 
-        noise = rng.standard_normal(d)
-        if on_detour and not route.detour_alias:
-            vec = noise / np.linalg.norm(noise)
-            descriptor = vec.astype(np.float32)
-        else:
-            base_idx = (src + m // 2) % m if on_detour else src
-            if route.sigma_app == 0.0:
-                descriptor = world.latents[base_idx]
-            else:
-                vec = world.latents[base_idx].astype(np.float64)
-                vec = vec + route.sigma_app * noise / sqrt_d
-                descriptor = (vec / np.linalg.norm(vec)).astype(np.float32)
+    true_rel = compose_poses(inverse_poses(gt[:-1]), gt[1:])
+    dist = translation_norms(true_rel)
+    stds = np.column_stack([route.sigma_xy * dist] * 2 + [route.sigma_theta * dist])
+    eps = stds * steps[:, d:]
+    noisy = eps.any(axis=1)
+    eps[:, 2] = wrap_angle(eps[:, 2])
+    means = true_rel.copy()
+    means[noisy] = compose_poses(true_rel[noisy], eps[noisy])
+    floor = np.array([route.cov_floor_xy**2, route.cov_floor_xy**2, route.cov_floor_theta**2])
+    covs = np.zeros((n_frames - 1, 3, 3))
+    covs[:, [0, 1, 2], [0, 1, 2]] = route.cov_inflation * stds**2 + floor
+    return Traverse(descriptors, means, covs, gt)
 
-        odom = None
-        if t > 0:
-            true_rel = relative(prev_gt, gt)
-            dist = true_rel.translation_norm
-            stds = np.array(
-                [route.sigma_xy * dist, route.sigma_xy * dist, route.sigma_theta * dist]
-            )
-            eps = stds * rng.standard_normal(3)
-            mean = compose(true_rel, Pose2(*eps)) if eps.any() else true_rel
-            reported = route.cov_inflation * np.diag(stds**2) + np.diag(
-                [
-                    route.cov_floor_xy**2,
-                    route.cov_floor_xy**2,
-                    route.cov_floor_theta**2,
-                ]
-            )
-            odom = OdometryStep(mean, Covariance3(reported))
-        frames.append(Frame(descriptor=descriptor, odom=odom, gt_pose=gt))
-        prev_gt = gt
-    return Traverse(frames)
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, as a column.
+
+    One dot product per row, so each norm rounds as ``np.linalg.norm(row)``
+    does; a summed square does not.
+    """
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
 
 
 def noiseless_scenario() -> ScenarioSpec:

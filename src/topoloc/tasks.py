@@ -108,11 +108,8 @@ def run_lcd(map_: TopometricMap, query: Traverse, params: PipelineParams) -> Lcd
         )
     meas = params.measurement
     if meas.lam is None:
-        z0 = query.frames[0].descriptor
-        meas = replace(meas, lam=calibrate_lambda(z0, map_, meas.rho))
-    likelihoods = [
-        likelihood_vector(fr.descriptor, map_, meas) for fr in query.frames
-    ]
+        meas = replace(meas, lam=calibrate_lambda(query.descriptors[0], map_, meas.rho))
+    likelihoods = [likelihood_vector(z, map_, meas) for z in query.descriptors]
     models = [
         build_transition_model(map_, fr.odom, params.motion)
         for fr in query.frames[1:]
@@ -194,7 +191,7 @@ def _wakeup_trial(
 
     def distances(t: int) -> np.ndarray:
         if t not in dists:
-            dists[t] = descriptor_distances(query.frames[t].descriptor, map_)
+            dists[t] = descriptor_distances(query.descriptors[t], map_)
         return dists[t]
 
     meas = params.measurement

@@ -1,85 +1,133 @@
-"""Frame sequences: the common carrier between simulator, map builder and tasks."""
+"""Traverses: the common carrier between simulator, map builder and tasks.
+
+A traverse of ``T`` frames is four read-only columns:
+
+``descriptors``  ``(T, d)`` float32 appearance vectors;
+``odom_means``   ``(T-1, 3)`` relative poses ``(dx, dy, dtheta)``, row
+                 ``t-1`` measured from frame ``t-1`` to frame ``t``;
+``odom_covs``    ``(T-1, 3, 3)`` their covariances;
+``gt_poses``     ``(T, 3)`` global poses for evaluation, or ``None``.
+
+They are validated once, on construction.  :attr:`Traverse.frames` is a
+per-frame view of the same data as :class:`Frame` objects, built on first
+access; inference reads each step's :class:`OdometryStep` from it.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
-from .geometry import OdometryStep, Pose2
+from .geometry import Covariance3, OdometryStep, Pose2, validated_covariances, wrap_angle
 
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """One time step of a traverse.
+    """One time step of a traverse, as :attr:`Traverse.frames` presents it.
 
-    ``descriptor`` is a float32 appearance vector.  ``odom`` is the relative
-    pose from the previous frame and is ``None`` exactly on the first frame
-    of a traverse.  ``gt_pose`` is an optional global pose used only by the
-    evaluation harness, never by inference.
+    ``odom`` is the step from the previous frame and ``None`` exactly on the
+    first frame; ``gt_pose`` is ``None`` when the traverse has no ground
+    truth.
     """
 
     descriptor: np.ndarray
-    odom: OdometryStep | None = None
-    gt_pose: Pose2 | None = None
-
-    def __post_init__(self):
-        d = np.asarray(self.descriptor, dtype=np.float32)
-        if d.ndim != 1 or d.size == 0:
-            raise DataError("frame descriptor must be a non-empty 1-D vector")
-        d = d.copy()
-        d.setflags(write=False)
-        object.__setattr__(self, "descriptor", d)
+    odom: OdometryStep | None
+    gt_pose: Pose2 | None
 
 
-@dataclass(eq=False)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _poses(values, rows: int, what: str, first: int) -> np.ndarray:
+    """A finite ``(rows, 3)`` float copy with angles wrapped to ``(-pi, pi]``.
+
+    Row ``k`` belongs to frame ``first + k``.
+    """
+    a = np.array(values, dtype=float)
+    if a.shape != (rows, 3):
+        raise DataError(f"{what} must have shape ({rows}, 3), got {a.shape}")
+    bad = ~np.isfinite(a).all(axis=1)
+    if bad.any():
+        raise DataError(f"{what} of frame {first + int(np.argmax(bad))} must be finite")
+    a[:, 2] = wrap_angle(a[:, 2])
+    return _frozen(a)
+
+
+@dataclass(frozen=True, eq=False)
 class Traverse:
     """An ordered frame sequence with one odometry step per consecutive pair.
 
-    Invariants checked on construction: at least one frame, no odometry on
-    the first frame, odometry on every later frame, a single descriptor
-    dimension throughout, and ground truth present either on all frames or
-    on none.
+    Checked on construction: at least one frame and a non-empty descriptor
+    dimension; ``T - 1`` odometry means and covariances; finite values
+    throughout; covariances symmetric to 1e-12 and positive definite.
+    Odometry and ground-truth angles are wrapped to ``(-pi, pi]``.  Errors
+    name the offending frame.
     """
 
-    frames: list[Frame] = field(default_factory=list)
+    descriptors: np.ndarray
+    odom_means: np.ndarray
+    odom_covs: np.ndarray
+    gt_poses: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.frames:
-            raise DataError("traverse must contain at least one frame")
-        dim = self.frames[0].descriptor.size
-        has_gt = self.frames[0].gt_pose is not None
-        for t, fr in enumerate(self.frames):
-            if fr.descriptor.size != dim:
-                raise DataError(
-                    f"descriptor dimension mismatch at frame {t}: "
-                    f"{fr.descriptor.size} != {dim}"
-                )
-            if (fr.gt_pose is not None) != has_gt:
-                raise DataError("ground truth must be present on all frames or none")
-            if t == 0 and fr.odom is not None:
-                raise DataError("first frame must not carry odometry")
-            if t > 0 and fr.odom is None:
-                raise DataError(f"frame {t} is missing odometry")
+        desc = np.array(self.descriptors, dtype=np.float32)
+        if desc.ndim != 2 or desc.shape[0] == 0 or desc.shape[1] == 0:
+            raise DataError("descriptors must be a non-empty (T, d) matrix")
+        bad = ~np.isfinite(desc).all(axis=1)
+        if bad.any():
+            raise DataError(f"descriptor of frame {int(np.argmax(bad))} must be finite")
+        n = desc.shape[0]
+        covs = np.asarray(self.odom_covs, dtype=float)
+        if covs.shape[:1] != (n - 1,):
+            raise DataError(f"odom_covs must hold {n - 1} covariances, got {covs.shape}")
+        covs = validated_covariances(
+            covs, DataError, lambda k: f"odometry covariance of frame {k + 1}"
+        )
+        gt = self.gt_poses
+        for name, value in (
+            ("descriptors", _frozen(desc)),
+            ("odom_means", _poses(self.odom_means, n - 1, "odometry mean", 1)),
+            ("odom_covs", _frozen(covs)),
+            ("gt_poses", None if gt is None else _poses(gt, n, "ground-truth pose", 0)),
+        ):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.descriptors.shape[0]
 
     @property
     def descriptor_dim(self) -> int:
-        return self.frames[0].descriptor.size
+        return self.descriptors.shape[1]
 
     @property
     def has_gt(self) -> bool:
-        return self.frames[0].gt_pose is not None
-
-    def descriptor_matrix(self) -> np.ndarray:
-        """All descriptors stacked into a float32 (T, d) matrix."""
-        return np.stack([fr.descriptor for fr in self.frames])
+        return self.gt_poses is not None
 
     def gt_array(self) -> np.ndarray:
         """Ground-truth poses as a float64 (T, 3) array; error when absent."""
         if not self.has_gt:
             raise DataError("traverse carries no ground truth")
-        return np.array([fr.gt_pose.as_array() for fr in self.frames])
+        return self.gt_poses.copy()
+
+    @cached_property
+    def frames(self) -> tuple[Frame, ...]:
+        """The columns as one :class:`Frame` per time step, built once.
+
+        Each frame's descriptor is a row of :attr:`descriptors`; its odometry
+        and ground truth go through the checked :class:`Pose2` and
+        :class:`Covariance3` constructors.
+        """
+        steps = [None] + [
+            OdometryStep(Pose2(*mean), Covariance3(cov))
+            for mean, cov in zip(self.odom_means.tolist(), self.odom_covs)
+        ]
+        gts = [None] * len(self) if self.gt_poses is None else self.gt_poses.tolist()
+        return tuple(
+            Frame(desc, step, None if gt is None else Pose2(*gt))
+            for desc, step, gt in zip(self.descriptors, steps, gts)
+        )

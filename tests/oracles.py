@@ -2,14 +2,27 @@
 
 Everything here trades efficiency for obviousness: posteriors by explicit
 path enumeration, segment minima by dense grid search, the chi-square CDF by
-numerical quadrature.  None of it imports from the package internals beyond
-plain arrays, so a bug in the library cannot hide in its own oracle.
+numerical quadrature, and the one-pose-at-a-time forms of what the package
+computes only on whole arrays.  It imports nothing but the package's value
+types, so a bug in the library cannot hide in its own oracle.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+
+from topoloc.errors import DataError
+from topoloc.geometry import (
+    Covariance3,
+    Pose2,
+    min_mahalanobis_on_directed_segments,
+    segment_directions,
+    wrap_angle,
+)
+from topoloc.traverse import Traverse
 
 
 def enumerate_marginals(prior, transitions, likelihoods):
@@ -112,3 +125,129 @@ def chi2_cdf_3_quad(x):
     density = lambda u: np.sqrt(u) * np.exp(-u / 2.0) / np.sqrt(2.0 * np.pi)
     val, _ = quad(density, 0.0, x, limit=200)
     return float(val)
+
+
+# ---------------------------------------------------------------------------
+# scalar pose algebra
+
+
+def compose(a: Pose2, b: Pose2) -> Pose2:
+    """First ``a``, then ``b`` in ``a``'s end frame."""
+    c = math.cos(a.dtheta)
+    s = math.sin(a.dtheta)
+    return Pose2(
+        a.dx + c * b.dx - s * b.dy,
+        a.dy + s * b.dx + c * b.dy,
+        a.dtheta + b.dtheta,
+    )
+
+
+def inverse(a: Pose2) -> Pose2:
+    """The relative pose undoing ``a``."""
+    c = math.cos(a.dtheta)
+    s = math.sin(a.dtheta)
+    return Pose2(-(c * a.dx + s * a.dy), -(-s * a.dx + c * a.dy), -a.dtheta)
+
+
+def relative(a: Pose2, b: Pose2) -> Pose2:
+    """Pose of ``b`` in the frame of ``a`` (both given in one frame)."""
+    return compose(inverse(a), b)
+
+
+def interpolate_pose(a: Pose2, b: Pose2, s: float) -> Pose2:
+    """Componentwise interpolation from ``a`` (s=0) to ``b`` (s=1), angle the short way."""
+    ddt = wrap_angle(b.dtheta - a.dtheta)
+    return Pose2(a.dx + s * (b.dx - a.dx), a.dy + s * (b.dy - a.dy), a.dtheta + s * ddt)
+
+
+def mean_pose(a: Pose2, b: Pose2) -> Pose2:
+    return interpolate_pose(a, b, 0.5)
+
+
+def covariance_from_upper(entries) -> Covariance3:
+    """Inverse of ``Covariance3.to_upper``: entries xx, xy, xt, yy, yt, tt."""
+    xx, xy, xt, yy, yt, tt = (float(v) for v in entries)
+    return Covariance3(np.array([[xx, xy, xt], [xy, yy, yt], [xt, yt, tt]]))
+
+
+def mahalanobis_sq(x: Pose2, mu: Pose2, sigma: Covariance3) -> float:
+    """Squared Mahalanobis distance of ``x`` from ``mu``, angular residual wrapped."""
+    r = np.array([x.dx - mu.dx, x.dy - mu.dy, wrap_angle(x.dtheta - mu.dtheta)])
+    return float(r @ sigma.precision @ r)
+
+
+def min_mahalanobis_on_segments(lo, hi, mu, sigma: Covariance3):
+    """Segment minima for segments given as ``(K, 3)`` endpoint rows."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    assert lo.ndim == 2 and lo.shape[1] == 3 and lo.shape == hi.shape
+    u, degenerate = segment_directions(lo.T, hi.T)
+    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, sigma)
+
+
+def min_mahalanobis_on_segment(a: Pose2, b: Pose2, mu: Pose2, sigma: Covariance3):
+    """``(d2, s)`` of the single segment ``a``--``b``."""
+    d2, s = min_mahalanobis_on_segments(a.as_array()[None], b.as_array()[None], mu, sigma)
+    return float(d2[0]), float(s[0])
+
+
+# ---------------------------------------------------------------------------
+# one element of a map, a transition model or a traverse at a time
+
+
+def rel_pose(map_, i: int, j: int) -> Pose2:
+    """The band's relative pose from node ``i`` to node ``j``."""
+    k = j - i
+    if not (0 <= i < map_.n_nodes and 0 <= j < map_.n_nodes and 0 <= k < map_.window):
+        raise DataError(f"rel_pose({i}, {j}) is outside the stored band")
+    return Pose2(*map_.band[i, k])
+
+
+def segment_endpoints(map_, i: int, j: int) -> tuple[Pose2, Pose2]:
+    """The segment scored for edge ``i -> j``, from the band by its definition.
+
+    Low end: midpoint of ``rel_pose(i, j-1)`` and ``rel_pose(i, j)``.  High
+    end: midpoint of ``rel_pose(i, j)`` and ``rel_pose(i, j+1)``, or
+    ``rel_pose(i, j)`` when ``j + 1`` is off the map or outside the band.
+    """
+    if not 1 <= j - i < map_.window or j >= map_.n_nodes:
+        raise DataError(f"edge {i} -> {j} does not exist")
+    cur = rel_pose(map_, i, j)
+    lo = mean_pose(rel_pose(map_, i, j - 1), cur)
+    if j + 1 < map_.n_nodes and j + 1 - i < map_.window:
+        return lo, mean_pose(cur, rel_pose(map_, i, j + 1))
+    return lo, cur
+
+
+def within(model, i: int) -> list[tuple[int, float]]:
+    """Outgoing within-map transitions of node ``i`` as ``(j, prob)`` pairs."""
+    return [
+        (i + k, float(model.within_probs[k, i]))
+        for k in range(model.window)
+        if model.valid[k, i]
+    ]
+
+
+def to_dense(model) -> np.ndarray:
+    """A transition model as its dense ``(N+1, N+1)`` matrix."""
+    n = model.n_nodes
+    dense = np.zeros((n + 1, n + 1))
+    for i in range(n):
+        for j, p in within(model, i):
+            dense[i, j] = p
+    dense[:n, n] = model.to_off
+    dense[n, :n] = model.off_out
+    dense[n, n] = model.off_self
+    return dense
+
+
+def traverse_of(frames) -> Traverse:
+    """A traverse from ``(descriptor, odometry step or None, Pose2 or None)`` triples."""
+    steps = [odom for _, odom, _ in frames[1:]]
+    gts = [gt for _, _, gt in frames]
+    return Traverse(
+        np.stack([d for d, _, _ in frames]),
+        np.array([s.mean.as_array() for s in steps]).reshape(-1, 3),
+        np.array([s.cov.matrix for s in steps]).reshape(-1, 3, 3),
+        None if gts[0] is None else np.array([g.as_array() for g in gts]),
+    )

@@ -17,13 +17,7 @@ import pytest
 from topoloc.cli import main as cli_main
 from topoloc.evaluate import label_ground_truth, recall_at_precision, score_lcd
 from topoloc.filtering import Belief, run_forward, smooth_pass
-from topoloc.geometry import (
-    Covariance3,
-    Pose2,
-    chi2_cdf_3,
-    min_mahalanobis_on_segment,
-    wrap_angle,
-)
+from topoloc.geometry import Covariance3, Pose2, chi2_cdf_3, wrap_angle
 from topoloc.mapping import build_map
 from topoloc.measurement import MeasurementParams
 from topoloc.motion import MotionParams, build_transition_model
@@ -37,6 +31,7 @@ from topoloc.simulate import (
 from topoloc.tasks import PipelineParams, run_lcd, run_wakeup_batch
 
 from oracles import chi2_cdf_3_quad, enumerate_marginals, grid_min_mahalanobis
+from oracles import min_mahalanobis_on_segment
 from oracles import random_banded_model
 from test_filtering import dense_to_model
 

@@ -19,7 +19,8 @@ from topoloc.formats import (
 from topoloc.geometry import Covariance3, OdometryStep, Pose2
 from topoloc.mapping import build_map
 from topoloc.simulate import builtin_scenarios, noiseless_scenario
-from topoloc.traverse import Frame, Traverse
+
+from oracles import traverse_of
 
 
 @pytest.fixture(scope="module")
@@ -67,17 +68,15 @@ def test_degenerate_likelihood_exits_4(tmp_path):
     e0[0] = 1.0
     e1 = np.zeros(8, dtype=np.float32)
     e1[1] = 1.0
-    ref = Traverse(
+    ref = traverse_of(
         [
-            Frame(e1, None if i == 0 else OdometryStep(Pose2(1.0, 0, 0), cov),
-                  Pose2(float(i), 0.0, 0.0))
+            (e1, None if i == 0 else OdometryStep(Pose2(1.0, 0, 0), cov),
+             Pose2(float(i), 0.0, 0.0))
             for i in range(8)
         ]
     )
     write_map(tmp_path / "map.json", build_map(ref, 2.0, 3))
-    query = Traverse(
-        [Frame(e0), Frame(e0, OdometryStep(Pose2(1.0, 0, 0), cov))]
-    )
+    query = traverse_of([(e0, None, None), (e0, OdometryStep(Pose2(1.0, 0, 0), cov), None)])
     write_traverse(tmp_path / "q.jsonl", query)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"filter": {"lam": 5000.0}}\n')
@@ -100,6 +99,21 @@ def test_nan_odometry_exits_3(tmp_path, smoke_dir, field):
                  "--query", str(tmp_path / "q.jsonl"),
                  "--out", str(tmp_path / "r.jsonl")])
     assert code == 3
+
+
+def test_string_and_bool_odometry_exit_3(tmp_path, smoke_dir, capsys):
+    data = smoke_dir / "data"
+    lines = (data / "query.jsonl").read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["odom"]["mean"] = ["1.5", True, 0]
+    lines[1] = json.dumps(rec)
+    (tmp_path / "q.jsonl").write_text("\n".join(lines) + "\n")
+    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
+    code = main(["lcd", "--map", str(data / "map.json"),
+                 "--query", str(tmp_path / "q.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl")])
+    assert code == 3
+    assert "frame 1: odom.mean[0]: expected a finite number" in _one_error_line(capsys, "data")
 
 
 @pytest.mark.parametrize("sidecar", ["query", "map"])
@@ -223,6 +237,9 @@ def _one_error_line(capsys, kind: str) -> str:
         '{"filter": {"lam": "x"}}',
         '{"filter": {"forward_only": "false"}}',
         '{"map": {"window": 2.7}}',
+        '{"map": {"window": 1}}',
+        '{"task": {"n_trials": 0}}',
+        '{"task": {"max_steps": 0}}',
     ],
 )
 def test_mistyped_config_exits_2(tmp_path, smoke_dir, capsys, text):

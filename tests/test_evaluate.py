@@ -14,10 +14,12 @@ from topoloc.evaluate import (
     score_lcd,
     score_wakeup,
 )
-from topoloc.geometry import OdometryStep, Pose2
+from topoloc.geometry import Covariance3, OdometryStep, Pose2
 from topoloc.mapping import build_map
 from topoloc.tasks import LcdFrame, LcdResult, WakeupResult
-from topoloc.traverse import Frame, Traverse
+from topoloc.traverse import Traverse
+
+from oracles import traverse_of
 
 
 def _straight_map():
@@ -30,10 +32,10 @@ def _straight_map():
         odom = None
         if i:
             odom = OdometryStep(
-                Pose2(1.0, 0.0, 0.0), np.diag([0.01, 0.01, 0.001])
+                Pose2(1.0, 0.0, 0.0), Covariance3(np.diag([0.01, 0.01, 0.001]))
             )
-        frames.append(Frame(d, odom, Pose2(float(i), 0.0, 0.0)))
-    return build_map(Traverse(frames), 2.0, 5)
+        frames.append((d, odom, Pose2(float(i), 0.0, 0.0)))
+    return build_map(traverse_of(frames), 2.0, 5)
 
 
 def _query_with_gt(poses):
@@ -43,9 +45,9 @@ def _query_with_gt(poses):
         d[0] = 1.0
         odom = None
         if i:
-            odom = OdometryStep(Pose2(1.0, 0.0, 0.0), np.diag([0.1, 0.1, 0.01]))
-        frames.append(Frame(d, odom, Pose2(*p)))
-    return Traverse(frames)
+            odom = OdometryStep(Pose2(1.0, 0.0, 0.0), Covariance3(np.diag([0.1, 0.1, 0.01])))
+        frames.append((d, odom, Pose2(*p)))
+    return traverse_of(frames)
 
 
 def test_labeling_translation_and_heading_tolerances():
@@ -83,7 +85,7 @@ def test_labeling_tighter_tolerance_shrinks_ok_sets():
 
 def test_labeling_requires_ground_truth():
     m = _straight_map()
-    q = Traverse([Frame(np.ones(16, dtype=np.float32))])
+    q = Traverse(np.ones((1, 16)), np.empty((0, 3)), np.empty((0, 3, 3)))
     with pytest.raises(DataError):
         label_ground_truth(q, m)
     with pytest.raises(DataError):

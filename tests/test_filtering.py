@@ -24,7 +24,7 @@ from topoloc.geometry import Pose2
 from topoloc.mapping import TopometricMap
 from topoloc.motion import TransitionModel
 
-from oracles import enumerate_marginals, random_banded_model
+from oracles import enumerate_marginals, random_banded_model, to_dense
 
 
 def dense_to_model(m, window=3):
@@ -132,7 +132,7 @@ def test_uninformative_future_leaves_filtered_untouched():
         a,
         np.ones((1, 1), dtype=bool),
     )
-    dense = model.to_dense()
+    dense = to_dense(model)
     assert np.allclose(dense.sum(axis=0), 1.0) and np.allclose(dense.sum(axis=1), 1.0)
     prior = init_belief(1, 0.35)
     g_first = np.array([0.8, 0.2])

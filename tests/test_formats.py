@@ -25,7 +25,8 @@ from topoloc.formats import (
 from topoloc.geometry import Covariance3, OdometryStep, Pose2
 from topoloc.mapping import build_map
 from topoloc.tasks import LcdFrame, LcdResult, WakeupResult
-from topoloc.traverse import Frame, Traverse
+
+from oracles import traverse_of
 
 
 def _small_traverse(with_gt=True):
@@ -39,8 +40,8 @@ def _small_traverse(with_gt=True):
         if i:
             odom = OdometryStep(Pose2(1.0, 0.01 * i, 0.002), cov)
         gt = Pose2(float(i), 0.0, 0.0) if with_gt else None
-        frames.append(Frame(d, odom, gt))
-    return Traverse(frames)
+        frames.append((d, odom, gt))
+    return traverse_of(frames)
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +98,9 @@ def test_traverse_roundtrip_exact(tmp_path):
     write_traverse(p, tr)
     back = read_traverse(p)
     assert len(back) == len(tr)
-    np.testing.assert_array_equal(back.descriptor_matrix(), tr.descriptor_matrix())
-    for a, b in zip(tr.frames, back.frames):
-        if a.odom is None:
-            assert b.odom is None
-        else:
-            assert a.odom.mean.as_array().tolist() == b.odom.mean.as_array().tolist()
-            np.testing.assert_array_equal(a.odom.cov.matrix, b.odom.cov.matrix)
-        assert a.gt_pose.as_array().tolist() == b.gt_pose.as_array().tolist()
+    for name in ("descriptors", "odom_means", "odom_covs", "gt_poses"):
+        a, b = getattr(tr, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
 
 
 def test_traverse_without_gt_roundtrip(tmp_path):
@@ -182,11 +178,8 @@ def test_map_roundtrip_exact(tmp_path):
     assert back.frame_indices == m.frame_indices
     np.testing.assert_array_equal(back.descriptors, m.descriptors)
     np.testing.assert_array_equal(back.gt_poses, m.gt_poses)
-    lo_a, hi_a, va = m.segment_table()
-    lo_b, hi_b, vb = back.segment_table()
-    np.testing.assert_array_equal(va, vb)
-    np.testing.assert_array_equal(lo_a[va], lo_b[vb])
-    np.testing.assert_array_equal(hi_a[va], hi_b[vb])
+    for a, b in zip(m.edge_geometry, back.edge_geometry):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_map_write_is_deterministic(tmp_path):

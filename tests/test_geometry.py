@@ -5,12 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from topoloc.errors import DataError
 from topoloc.geometry import (
     Covariance3,
     OdometryStep,
     Pose2,
     chi2_cdf_3,
+    compose_poses,
+    inverse_poses,
+    translation_norms,
+    validated_covariances,
+    wrap_angle,
+)
+
+from oracles import (
+    chi2_cdf_3_quad,
     compose,
+    covariance_from_upper,
+    grid_min_mahalanobis,
     interpolate_pose,
     inverse,
     mahalanobis_sq,
@@ -18,10 +30,7 @@ from topoloc.geometry import (
     min_mahalanobis_on_segment,
     min_mahalanobis_on_segments,
     relative,
-    wrap_angle,
 )
-
-from oracles import chi2_cdf_3_quad, grid_min_mahalanobis
 
 
 def test_wrap_angle_boundary_convention():
@@ -31,6 +40,14 @@ def test_wrap_angle_boundary_convention():
     assert wrap_angle(0.0) == 0.0
     arr = wrap_angle(np.array([0.0, 2 * math.pi, -2 * math.pi + 0.25]))
     assert np.allclose(arr, [0.0, 0.0, 0.25])
+
+
+def test_wrap_angle_of_one_float_matches_the_array_form_bit_for_bit():
+    rng = np.random.default_rng(12)
+    xs = np.concatenate([rng.normal(scale=s, size=2000) for s in (1.0, 4.0, 1e6)])
+    xs = np.concatenate([xs, [math.pi, -math.pi, 3 * math.pi, 0.0, -0.0, 1e-20, -1e-20]])
+    one_by_one = np.array([wrap_angle(x) for x in xs.tolist()])
+    assert one_by_one.view(np.int64).tolist() == wrap_angle(xs).view(np.int64).tolist()
 
 
 def test_wrap_angle_rejects_non_finite():
@@ -81,6 +98,39 @@ def test_relative_undoes_compose():
     assert r.dtheta == pytest.approx(d.dtheta)
 
 
+def test_pose_rows_match_scalar_algebra_bit_for_bit():
+    # the simulator and the map builder compose whole columns; their bytes
+    # must not depend on that layout
+    rng = np.random.default_rng(9)
+    a = rng.normal(scale=3.0, size=(500, 3))
+    b = rng.normal(scale=3.0, size=(500, 3))
+    a[:, 2] = wrap_angle(a[:, 2])
+    b[:, 2] = wrap_angle(b[:, 2])
+    composed = compose_poses(a, b)
+    inverted = inverse_poses(a)
+    norms = translation_norms(b)
+    for t in range(len(a)):
+        pa, pb = Pose2(*a[t]), Pose2(*b[t])
+        assert composed[t].tolist() == compose(pa, pb).as_array().tolist()
+        assert inverted[t].tolist() == inverse(pa).as_array().tolist()
+        assert norms[t] == pb.translation_norm
+
+
+def test_validated_covariances_name_the_first_bad_matrix():
+    stack = np.stack([np.eye(3)] * 4)
+    assert np.array_equal(validated_covariances(stack, DataError, str), stack)
+    label = lambda k: f"step {k}"  # noqa: E731
+    for k, fault, match in [
+        (2, (1, 1, -1.0), "step 2 must be positive definite"),
+        (1, (0, 1, 0.5), "step 1 must be symmetric"),
+        (3, (2, 2, np.inf), "step 3 must be finite"),
+    ]:
+        bad = stack.copy()
+        bad[(k, *fault[:2])] = fault[2]
+        with pytest.raises(DataError, match=match):
+            validated_covariances(bad, DataError, label)
+
+
 def test_interpolate_pose_endpoints_and_short_way():
     a = Pose2(0.0, 0.0, 3.0)
     b = Pose2(1.0, 0.0, -3.0)  # short way crosses the pi boundary
@@ -94,7 +144,7 @@ def test_interpolate_pose_endpoints_and_short_way():
 def test_covariance_upper_roundtrip():
     m = np.array([[0.04, 0.01, 0.0], [0.01, 0.09, 0.002], [0.0, 0.002, 0.01]])
     cov = Covariance3(m)
-    again = Covariance3.from_upper(cov.to_upper())
+    again = covariance_from_upper(cov.to_upper())
     assert np.allclose(again.matrix, m)
     assert np.allclose(cov.precision @ m, np.eye(3), atol=1e-12)
 
@@ -104,8 +154,10 @@ def test_covariance_rejects_bad_matrices():
         Covariance3(np.zeros((3, 3)))  # singular
     with pytest.raises(ValueError):
         Covariance3(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        Covariance3.from_upper([1.0, 0.0])
+    with pytest.raises(ValueError, match="must be 3x3"):
+        Covariance3(np.eye(2))
+    with pytest.raises(ValueError, match="must be finite"):
+        Covariance3(np.diag([1.0, np.nan, 1.0]))
 
 
 def test_mahalanobis_identity_and_diagonal():

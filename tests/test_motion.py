@@ -8,14 +8,20 @@ from topoloc.geometry import (
     OdometryStep,
     Pose2,
     chi2_cdf_3,
-    mahalanobis_sq,
     min_mahalanobis_on_directed_segments,
-    min_mahalanobis_on_segment,
-    min_mahalanobis_on_segments,
-    relative,
 )
 from topoloc.mapping import TopometricMap
 from topoloc.motion import MotionParams, TransitionModel, build_transition_model
+
+from oracles import (
+    mahalanobis_sq,
+    min_mahalanobis_on_segment,
+    min_mahalanobis_on_segments,
+    relative,
+    segment_endpoints,
+    to_dense,
+    within,
+)
 
 
 # Scalar, one-node-at-a-time forms of what build_transition_model computes
@@ -27,7 +33,7 @@ def edge_distances(map_, i, odom):
     out = []
     last = min(i + map_.window - 1, map_.n_nodes - 1)
     for j in range(i + 1, last + 1):
-        lo, hi = map_.segment_endpoints(i, j)
+        lo, hi = segment_endpoints(map_, i, j)
         d2, _ = min_mahalanobis_on_segment(lo, hi, odom.mean, odom.cov)
         out.append((j, d2))
     return out
@@ -113,7 +119,7 @@ def test_transition_row_handles_huge_distances():
 def test_build_full_rows_sum_to_one():
     m = line_map()
     model = build_transition_model(m, step(2.0), MotionParams())
-    dense = model.to_dense()
+    dense = to_dense(model)
     assert np.abs(dense.sum(axis=1) - 1.0).max() < 1e-9
     # off row: self mass plus uniform outward
     assert dense[-1, -1] == pytest.approx(0.9)
@@ -129,7 +135,7 @@ def test_build_matches_per_node_assembly():
         d2s = edge_distances(m, i, odom)
         p_off = off_map_transition(d2s)
         row = transition_row(d2s, p_off)
-        got = dict(model.within(i))
+        got = dict(within(model, i))
         assert model.to_off[i] == pytest.approx(p_off, abs=1e-12)
         assert set(got) == {j for j, _ in row}
         for j, p in row:
@@ -141,7 +147,7 @@ def test_terminal_node_scores_stay_hypothesis():
     # a near-zero step keeps the terminal node's mass on itself
     model = build_transition_model(m, step(0.0, sx=0.2, sy=0.2, st=0.1), MotionParams())
     last = m.n_nodes - 1
-    assert model.within(last) == [(last, pytest.approx(1.0 - model.to_off[last]))]
+    assert within(model, last) == [(last, pytest.approx(1.0 - model.to_off[last]))]
     # a long step makes the stay hypothesis implausible and the gate fires
     model2 = build_transition_model(m, step(6.0, sx=0.2), MotionParams())
     assert model2.to_off[last] > 0.999
@@ -153,12 +159,12 @@ def test_no_off_mode_zeroes_gate_and_renormalizes():
     full = build_transition_model(m, odom, MotionParams())
     ablated = build_transition_model(m, odom, MotionParams(mode="no_off"))
     assert np.all(ablated.to_off == 0.0)
-    dense = ablated.to_dense()
+    dense = to_dense(ablated)
     assert np.abs(dense[:-1, :-1].sum(axis=1) - 1.0).max() < 1e-9
     # within-row shape is shared with the full model up to the off scaling
     for i in range(m.n_nodes):
-        f = np.array([p for _, p in full.within(i)])
-        a = np.array([p for _, p in ablated.within(i)])
+        f = np.array([p for _, p in within(full, i)])
+        a = np.array([p for _, p in within(ablated, i)])
         assert np.allclose(a * (1.0 - full.to_off[i]), f, atol=1e-12)
 
 
@@ -167,9 +173,9 @@ def test_no_odom_mode_is_uniform_and_ignores_odometry():
     params = MotionParams(mode="no_odom")
     a = build_transition_model(m, None, params)
     b = build_transition_model(m, step(17.0, -3.0, 1.0), params)
-    assert np.allclose(a.to_dense(), b.to_dense())
+    assert np.allclose(to_dense(a), to_dense(b))
     assert np.all(a.to_off == params.no_odom_off)
-    probs = a.within(4)
+    probs = within(a, 4)
     vals = [p for _, p in probs]
     assert np.allclose(vals, vals[0])
 
@@ -186,7 +192,7 @@ def test_propagate_agrees_with_dense_product():
     rng = np.random.default_rng(4)
     alpha = rng.uniform(size=m.n_nodes + 1)
     alpha /= alpha.sum()
-    dense = model.to_dense()
+    dense = to_dense(model)
     assert np.allclose(model.propagate(alpha), alpha @ dense, atol=1e-12)
     v = rng.uniform(size=m.n_nodes + 1)
     assert np.allclose(model.backpropagate(v), dense @ v, atol=1e-12)
@@ -213,26 +219,35 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
         for k in range(1, min(window, n - i)):
             band[i, k] = relative(Pose2(*poses[i]), Pose2(*poses[i + k])).as_array()
     m = TopometricMap(np.eye(n, dtype=np.float32), band, 2.0)
-    lo, hi, seg_valid = m.segment_table()
     starts, u, degenerate, valid = m.edge_geometry
     k = (window - 1) * n
     for arr in (starts, u):
         assert arr.shape == (3, k + 1) and arr.flags.c_contiguous
-    assert not seg_valid.all() and np.isnan(lo[~seg_valid]).all()
+    # the same segments edge by edge from their definition, zero where the
+    # band holds no edge
+    raw_lo, raw_hi = np.zeros((k, 3)), np.zeros((k, 3))
+    seg_valid = np.zeros((window - 1, n), dtype=bool)
+    for off in range(1, window):
+        for i in range(n - off):
+            lo, hi = segment_endpoints(m, i, i + off)
+            raw_lo[(off - 1) * n + i] = lo.as_array()
+            raw_hi[(off - 1) * n + i] = hi.as_array()
+            seg_valid[off - 1, i] = True
+    assert not seg_valid.all()
     assert degenerate[:k][seg_valid.reshape(-1)].any()
     # the extra column is the final node's stay-in-place hypothesis
     assert degenerate[k] and not starts[:, k].any() and not u[:, k].any()
     assert valid[1:].tolist() == seg_valid.tolist()
     assert valid[0].tolist() == [False] * (n - 1) + [True]
-    raw_lo = np.nan_to_num(lo.reshape(-1, 3))
-    raw_hi = np.nan_to_num(hi.reshape(-1, 3))
     for odom in (step(2.0), step(0.0, 0.0, 0.0), step(4.1, -0.3, 3.1), step(1.0, 2.0, -2.0)):
         d2_raw, s_raw = min_mahalanobis_on_segments(raw_lo, raw_hi, odom.mean, odom.cov)
         d2, s = min_mahalanobis_on_directed_segments(
             starts, u, degenerate, odom.mean, odom.cov
         )
-        assert np.array_equal(d2[:k], d2_raw)
-        assert np.array_equal(s[:k], s_raw)
+        # equal up to rounding: the scalar midpoint wraps its angle, the
+        # rowwise one leaves it to the kernel's wrapped residuals
+        assert d2[:k] == pytest.approx(d2_raw, rel=1e-12, abs=1e-12)
+        assert s[:k] == pytest.approx(s_raw, rel=1e-12, abs=1e-12)
         assert s[k] == 0.0
 
 
@@ -248,7 +263,7 @@ def test_stay_column_scores_identity_pose():
         d2, _ = min_mahalanobis_on_directed_segments(
             starts, u, degenerate, odom.mean, odom.cov
         )
-        want = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
+        want = mahalanobis_sq(Pose2(0.0, 0.0, 0.0), odom.mean, odom.cov)
         # same arithmetic up to summation order and the sign of the residual
         assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -260,9 +275,9 @@ def test_stay_column_scores_identity_pose():
         d2, _ = min_mahalanobis_on_directed_segments(
             starts, u, degenerate, odom.mean, odom.cov
         )
-        want = mahalanobis_sq(odom.mean, Pose2.identity(), odom.cov)
+        want = mahalanobis_sq(odom.mean, Pose2(0.0, 0.0, 0.0), odom.cov)
         assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
-        reversed_sign = mahalanobis_sq(Pose2.identity(), odom.mean, odom.cov)
+        reversed_sign = mahalanobis_sq(Pose2(0.0, 0.0, 0.0), odom.mean, odom.cov)
         assert abs(d2[-1] - reversed_sign) > 1.0
 
 

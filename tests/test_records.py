@@ -1,20 +1,23 @@
 """The typed-record rule: casts, error paths, and single-field corruptions.
 
 The property tests start from documents the package wrote (an lcd result,
-a wakeup result, a labels file, a config file and a scenario file) and
-change one field: set it to null, a string, a bool, a non-integral number or
-NaN, drop it, or add a key beside it.  Whether a change breaks the rule is
-decided here from the value the package wrote, not from the reader: NaN and
-an added key always do; null does unless the field is optional; a string, a
-bool or a non-integral number does unless the field already held one of
-that kind; dropping does unless the field has a default.  Readers must
-raise ``DataError`` or ``ConfigError`` on every breach and nothing else on
-any change, and the CLI must exit 2 or 3 on every breach, never 1.
+a wakeup result, a labels file, a config file, a scenario file, a traverse
+and the band rows of a map) and change one field, or one number of a
+traverse's poses and covariances or of a band row: set it to null, a
+string, a bool, a non-integral number or NaN, drop it, or add a key beside
+it (an item after it).  Whether a change breaks the rule is decided here
+from the value the package wrote, not from the reader: NaN and an addition
+always do; null does unless the field is optional or already null; a
+string, a bool or a non-integral number does unless the field already held
+one of that kind; dropping does unless the field has a default.  Readers
+must raise ``DataError`` or ``ConfigError`` on every breach and nothing else
+on any change, and the CLI must exit 2 or 3 on every breach, never 1.
 """
 
 import dataclasses
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -108,15 +111,20 @@ _OPTIONAL = {"lam", "geometry", "proposal"}
 _NONINTEGRAL = 2.5
 
 
-def _objects(value, path=()):
-    """Every JSON object inside ``value``, with the keys and indices leading to it."""
+def _objects(value, arrays: bool, path=()):
+    """Every JSON object inside ``value``, with the keys and indices leading to it.
+
+    With ``arrays``, every non-empty array of numbers too.
+    """
     if isinstance(value, dict):
         yield path, value
         for k, v in value.items():
-            yield from _objects(v, path + (k,))
+            yield from _objects(v, arrays, path + (k,))
     elif isinstance(value, list):
+        if arrays and value and all(_kind(v) in ("int", "float") for v in value):
+            yield path, value
         for i, v in enumerate(value):
-            yield from _objects(v, path + (i,))
+            yield from _objects(v, arrays, path + (i,))
 
 
 def _kind(value) -> str:
@@ -130,7 +138,7 @@ def _breaks_rule(written, mutation, key: str, droppable: bool) -> bool | None:
     if mutation == "drop":
         return not droppable
     if mutation == "null":
-        return key not in _OPTIONAL
+        return key not in _OPTIONAL and written is not None
     if written is None:  # an optional field: its type is not on the page
         return None
     wanted = {"string": "str", "bool": "bool", "number": "float"}[mutation]
@@ -142,19 +150,25 @@ _NEW_VALUE = {
 }
 
 
-def _mutate(doc, data):
-    """Apply one drawn change to a copy of ``doc`` (a list of JSON lines)."""
+def _mutate(doc, data, arrays: bool):
+    """Apply one drawn change to a copy of ``doc`` (a list of JSON lines).
+
+    With ``arrays``, the change may hit one number of an array of numbers.
+    """
     doc = json.loads(json.dumps(doc))
     line = data.draw(st.integers(0, len(doc) - 1), label="line")
-    objects = list(_objects(doc[line]))
+    objects = list(_objects(doc[line], arrays))
     path, obj = objects[data.draw(st.integers(0, len(objects) - 1), label="object")]
-    key = data.draw(st.sampled_from(sorted(obj)), label="key")
+    keys = sorted(obj) if isinstance(obj, dict) else range(len(obj))
+    key = data.draw(st.sampled_from(keys), label="key")
     mutation = data.draw(st.sampled_from(["drop", "add", *_NEW_VALUE]), label="mutation")
     written = obj[key]
     if mutation == "drop":
         del obj[key]
-    elif mutation == "add":
+    elif mutation == "add" and isinstance(obj, dict):
         obj["surplus"] = 1.0
+    elif mutation == "add":
+        obj.insert(key + 1, 1.0)
     else:
         obj[key] = _NEW_VALUE[mutation]
     return doc, (line, path), key, written, mutation
@@ -185,7 +199,27 @@ def written(tmp_path_factory):
     }
     docs["config"] = [Config().to_dict()]
     docs["scenario"] = [spec.to_dict()]
+    docs["traverse"] = [json.loads(ln) for ln in (root / "query.jsonl").read_text().splitlines()]
+    docs["map"] = json.loads((root / "map.json").read_text())["band"]
     return root, docs
+
+
+_ARRAYS = {"traverse", "map"}  # kinds whose changes may hit one number of an array
+
+
+def _write_mutated(root, kind, doc, name):
+    """Write ``doc`` as a file of ``kind``; a traverse or map gets its sidecar."""
+    if kind == "map":
+        full = json.loads((root / "map.json").read_text())
+        full["band"] = doc
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(full))  # the sidecar it names sits beside it
+        return path
+    path = root / f"{name}.jsonl"
+    _write_lines(path, doc)
+    if kind == "traverse":
+        shutil.copy(root / "query.desc.bin", root / f"{name}.desc.bin")
+    return path
 
 
 def _droppable(kind: str, where, key: str) -> bool:
@@ -208,22 +242,24 @@ _READERS = {
     "lcd": (formats.read_lcd_result, DataError),
     "wakeup": (formats.read_wakeup_results, DataError),
     "labels": (formats.read_labels, DataError),
+    "traverse": (formats.read_traverse, DataError),
+    "map": (formats.read_map, DataError),
 }
+_KINDS = ["lcd", "wakeup", "labels", "config", "scenario", "traverse", "map"]
 
 
 _FIXTURE_OK = [HealthCheck.function_scoped_fixture]  # the fixtures are read-only
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=_FIXTURE_OK)
-@given(kind=st.sampled_from(["lcd", "wakeup", "labels", "config", "scenario"]), data=st.data())
+@settings(max_examples=420, deadline=None, suppress_health_check=_FIXTURE_OK)
+@given(kind=st.sampled_from(_KINDS), data=st.data())
 def test_readers_reject_every_single_field_breach(written, kind, data):
     root, docs = written
-    doc, where, key, was, mutation = _mutate(docs[kind], data)
+    doc, where, key, was, mutation = _mutate(docs[kind], data, kind in _ARRAYS)
     breach = _breaks_rule(was, mutation, key, _droppable(kind, where, key))
     if kind in _READERS:
         reader, error = _READERS[kind]
-        path = root / f"mutated-{kind}.jsonl"
-        _write_lines(path, doc)
+        path = _write_mutated(root, kind, doc, f"mutated-{kind}")
         call = lambda: reader(path)  # noqa: E731
     else:
         cls, error = {"config": Config, "scenario": ScenarioSpec}[kind], ConfigError
@@ -236,16 +272,20 @@ def test_readers_reject_every_single_field_breach(written, kind, data):
         assert not breach, f"{kind} {where} {key} {mutation} was accepted"
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=_FIXTURE_OK)
-@given(kind=st.sampled_from(["lcd", "wakeup", "config", "scenario"]), data=st.data())
+@settings(max_examples=90, deadline=None, suppress_health_check=_FIXTURE_OK)
+@given(kind=st.sampled_from(["lcd", "wakeup", "config", "scenario", "traverse", "map"]),
+       data=st.data())
 def test_cli_exits_2_or_3_on_every_single_field_breach(written, capsys, kind, data):
     root, docs = written
-    doc, where, key, was, mutation = _mutate(docs[kind], data)
+    doc, where, key, was, mutation = _mutate(docs[kind], data, kind in _ARRAYS)
     breach = _breaks_rule(was, mutation, key, _droppable(kind, where, key))
-    mutated = root / f"cli-{kind}.json"
-    _write_lines(mutated, doc)
+    mutated = _write_mutated(root, kind, doc, f"cli-{kind}")
     inputs = ["--map", str(root / "map.json"), "--query", str(root / "query.jsonl")]
-    if kind in ("lcd", "wakeup"):
+    if kind in _ARRAYS:
+        inputs[3 if kind == "traverse" else 1] = str(mutated)
+        argv = ["lcd", *inputs, "--out", str(root / "r.jsonl")]
+        expected = 3
+    elif kind in ("lcd", "wakeup"):
         argv = ["eval", "--task", kind, "--results", str(mutated), *inputs,
                 "--out-curve", str(root / "pr.csv")]
         expected = 3

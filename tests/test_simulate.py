@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from topoloc.errors import DataError
-from topoloc.geometry import compose, relative
 from topoloc.simulate import (
     Detour,
     RouteSpec,
@@ -15,6 +14,8 @@ from topoloc.simulate import (
     render_traverse,
     simulate_scenario,
 )
+
+from oracles import relative
 
 
 def test_world_deterministic_in_seed():

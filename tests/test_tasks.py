@@ -19,6 +19,14 @@ from topoloc.tasks import (
 )
 from topoloc.traverse import Traverse
 
+def _head(query, n):
+    """The first ``n`` frames of ``query``."""
+    gt = None if query.gt_poses is None else query.gt_poses[:n]
+    return Traverse(
+        query.descriptors[:n], query.odom_means[: n - 1], query.odom_covs[: n - 1], gt
+    )
+
+
 # one small rendered scenario shared by most tests in this module
 _spec = noiseless_scenario()
 _world, _ref, _query = simulate_scenario(_spec, 0)
@@ -59,11 +67,8 @@ def test_forward_only_differs_only_in_belief_source():
 
 
 def test_lcd_rejects_dimension_mismatch():
-    from topoloc.traverse import Frame, Traverse
-
-    bad = Traverse(
-        [Frame(np.zeros(_map.descriptor_dim + 1, dtype=np.float32))]
-    )
+    bad = _head(_query, 2)
+    bad = Traverse(np.ones((2, _map.descriptor_dim + 1)), bad.odom_means, bad.odom_covs)
     with pytest.raises(DataError):
         run_lcd(_map, bad, _params)
 
@@ -108,7 +113,7 @@ def test_wakeup_validates_start():
     with pytest.raises(DataError):
         run_wakeup(_map, _query, 0, 0, _params)
     with pytest.raises(DataError):
-        run_wakeup_batch(_map, Traverse(_query.frames[:1]), 3, 0, 5, _params)
+        run_wakeup_batch(_map, _head(_query, 1), 3, 0, 5, _params)
 
 
 def test_wakeup_batch_deterministic_and_ordered():
@@ -148,8 +153,14 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
         built[id(odom)] += 1
         return build(map_, odom, params)
 
+    rows = _query.descriptors
+    row_bytes = rows.strides[0]
+
     def counting_measure(z, map_):
-        measured[id(z)] += 1
+        # which frame's descriptor row this is, by its address in the column
+        offset = z.__array_interface__["data"][0] - rows.__array_interface__["data"][0]
+        assert offset % row_bytes == 0 and np.shares_memory(z, rows)
+        measured[offset // row_bytes] += 1
         return measure(z, map_)
 
     monkeypatch.setattr(tasks_mod, "build_transition_model", counting_build)
@@ -161,7 +172,7 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
     assert set(built) == {id(_query.frames[t].odom) for t in stepped}
     assert max(built.values()) == 1
     seen = stepped + [r.start for r in batch]
-    assert set(measured) == {id(_query.frames[t].descriptor) for t in seen}
+    assert set(measured) == set(seen)
     assert max(measured.values()) == 1
 
 
