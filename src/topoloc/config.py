@@ -1,8 +1,8 @@
 """Typed run configuration with a strict JSON round trip.
 
 Every tunable the CLI exposes lives here.  ``Config.from_dict`` rejects
-unknown keys and values of the wrong type or out of range, so a typo in a config file fails
-loudly instead of silently running with defaults.
+unknown keys and values of the wrong type or out of range, so a typo in a
+config file fails loudly instead of silently running with defaults.
 """
 
 from __future__ import annotations

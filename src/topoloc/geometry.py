@@ -80,19 +80,17 @@ class Pose2:
 def compose_poses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Chain relative poses row by row: first ``a``, then ``b`` in ``a``'s end frame.
 
-    ``a`` and ``b`` hold ``(dx, dy, dtheta)`` on their last axis and
-    broadcast against each other.  The rotation of ``a`` acts on the
+    ``a`` and ``b`` are float arrays of one shape holding ``(dx, dy,
+    dtheta)`` on their last axis.  The rotation of ``a`` acts on the
     translation of ``b``::
 
         dx = a.dx + cos(a.dtheta) * b.dx - sin(a.dtheta) * b.dy
         dy = a.dy + sin(a.dtheta) * b.dx + cos(a.dtheta) * b.dy
         dtheta = wrap(a.dtheta + b.dtheta)
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     c = np.cos(a[..., 2])
     s = np.sin(a[..., 2])
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(a.shape)
     out[..., 0] = a[..., 0] + c * b[..., 0] - s * b[..., 1]
     out[..., 1] = a[..., 1] + s * b[..., 0] + c * b[..., 1]
     out[..., 2] = wrap_angle(a[..., 2] + b[..., 2])
@@ -104,7 +102,6 @@ def inverse_poses(a: np.ndarray) -> np.ndarray:
 
     ``compose_poses(a, inverse_poses(a))`` is the identity pose.
     """
-    a = np.asarray(a, dtype=float)
     c = np.cos(a[..., 2])
     s = np.sin(a[..., 2])
     out = np.empty(a.shape)

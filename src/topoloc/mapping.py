@@ -3,9 +3,8 @@
 A map holds ``N`` ordered nodes.  Node ``i`` stores the reference descriptor
 taken at its frame; the band stores the relative pose from node ``i`` to
 node ``j`` for every ``j`` with ``0 <= j - i < window``, accumulated from
-odometry.  The
-directed edge set used by the motion model is exactly ``{i -> j : j > i,
-j - i < window}``.
+odometry.  The directed edge set used by the motion model is exactly
+``{i -> j : j > i, j - i < window}``.
 """
 
 from __future__ import annotations
