@@ -21,7 +21,7 @@ import typing
 
 from .errors import ConfigError
 
-__all__ = ["Record", "read_record", "read_value", "record_dict"]
+__all__ = ["Record", "read_record", "record_dict"]
 
 
 class _Invalid(Exception):
@@ -154,17 +154,14 @@ def _build(cls, data):
         raise _Invalid(str(exc)) from None
 
 
-def read_record(cls, data, error: type[ValueError], where: str = ""):
-    """Build record ``cls`` from a parsed JSON value.
+def read_record(hint, data, error: type[ValueError], where: str = ""):
+    """Build record ``hint`` from a parsed JSON value, or cast it by annotation.
 
-    Any breach of the rule, or a ``ValueError`` from the record's own
-    validation, raises ``error`` naming ``where`` and the path to the field.
+    ``hint`` is a record class or any annotation a record field may carry,
+    such as ``tuple[float, float, float]``.  Any breach of the rule, or a
+    ``ValueError`` from a record's own validation, raises ``error`` naming
+    ``where`` and the path to the field.
     """
-    return read_value(cls, data, error, where)
-
-
-def read_value(hint, data, error: type[ValueError], where: str = ""):
-    """Cast a parsed JSON value by annotation ``hint``, as a record field is."""
     try:
         return _reader(hint)(data)
     except _Invalid as exc:

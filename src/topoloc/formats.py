@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._records import read_record, read_value, record_dict
+from ._records import read_record, record_dict
 from .errors import DataError
 from .evaluate import GroundTruthLabel, PrCurve
 from .mapping import TopometricMap
@@ -173,11 +173,11 @@ def descriptor_sidecar(path) -> Path:
 # traverses
 
 
-_FRAME_KEYS = {"t", "gt_pose", "odom"}
 _POSE = tuple[float, float, float]
 _UPPER = tuple[float, float, float, float, float, float]
-# covariance entries as a frame record lists them: xx, xy, xt, yy, yt, tt
+# a frame record lists covariance entries xx, xy, xt, yy, yt, tt
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(3)
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3x3 matrix, row major, from those six
 
 
 def write_traverse(path, traverse: Traverse) -> None:
@@ -209,25 +209,22 @@ def read_traverse(path) -> Traverse:
     gts, means, uppers = [], [], []
     for t, rec in enumerate(records):
         where = f"{p} frame {t}"
-        _require_keys(rec, _FRAME_KEYS, where)
-        if read_value(int, rec["t"], DataError, f"{where}: t") != t:
+        _require_keys(rec, {"t", "gt_pose", "odom"}, where)
+        if read_record(int, rec["t"], DataError, f"{where}: t") != t:
             raise DataError(f"{where}: out-of-order t={rec['t']}")
         if rec["gt_pose"] is not None:
-            gts.append(read_value(_POSE, rec["gt_pose"], DataError, f"{where}: gt_pose"))
+            gts.append(read_record(_POSE, rec["gt_pose"], DataError, f"{where}: gt_pose"))
         odom = rec["odom"]
         if t == 0:
             if odom is not None:
                 raise DataError(f"{where}: the first frame must not carry odometry")
             continue
         _require_keys(odom, {"mean", "cov"}, f"{where}: odom")
-        means.append(read_value(_POSE, odom["mean"], DataError, f"{where}: odom.mean"))
-        uppers.append(read_value(_UPPER, odom["cov"], DataError, f"{where}: odom.cov"))
+        means.append(read_record(_POSE, odom["mean"], DataError, f"{where}: odom.mean"))
+        uppers.append(read_record(_UPPER, odom["cov"], DataError, f"{where}: odom.cov"))
     if len(gts) not in (0, len(records)):
         raise DataError(f"{p}: ground truth must be present on all frames or none")
-    upper = np.array(uppers).reshape(-1, 6)
-    covs = np.empty((len(upper), 3, 3))
-    covs[:, _UPPER_ROWS, _UPPER_COLS] = upper
-    covs[:, _UPPER_COLS, _UPPER_ROWS] = upper
+    covs = np.array(uppers).reshape(-1, 6)[:, _FULL].reshape(-1, 3, 3)
     means = np.array(means).reshape(-1, 3)
     try:
         return Traverse(matrix, means, covs, np.array(gts) if gts else None)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
+from .errors import DataError
+
 _TWO_PI = 2.0 * math.pi
 _DEGENERATE_SEGMENT_TOL = 1e-12
 
@@ -121,23 +123,23 @@ def translation_norms(poses: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, dx, dy), float, len(dx))
 
 
-def validated_covariances(m: np.ndarray, error: type[ValueError], name) -> np.ndarray:
+def validated_covariances(m: np.ndarray, name) -> np.ndarray:
     """Check a stack of 3x3 covariances ``(K, 3, 3)``; return it symmetrised.
 
     Every matrix must be finite, symmetric to 1e-12 and positive definite
-    (one batched Cholesky factorisation).  A breach raises ``error`` with a
-    message that starts with ``name(k)``, the label of the first offending
-    matrix ``k``.
+    (one batched Cholesky factorisation).  A breach raises ``DataError``
+    with a message that starts with ``name(k)``, the label of the first
+    offending matrix ``k``.
     """
     m = np.array(m, dtype=float)
     if m.ndim != 3 or m.shape[1:] != (3, 3):
-        raise error(f"{name(0)} must be 3x3, got {m.shape[1:]}")
+        raise DataError(f"{name(0)} must be 3x3, got {m.shape[1:]}")
     bad = ~np.isfinite(m).all(axis=(1, 2))
     if bad.any():
-        raise error(f"{name(int(np.argmax(bad)))} must be finite")
+        raise DataError(f"{name(int(np.argmax(bad)))} must be finite")
     bad = np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > 1e-12
     if bad.any():
-        raise error(f"{name(int(np.argmax(bad)))} must be symmetric to 1e-12")
+        raise DataError(f"{name(int(np.argmax(bad)))} must be symmetric to 1e-12")
     m = 0.5 * (m + m.transpose(0, 2, 1))
     try:
         np.linalg.cholesky(m)
@@ -146,7 +148,7 @@ def validated_covariances(m: np.ndarray, error: type[ValueError], name) -> np.nd
             try:
                 np.linalg.cholesky(m[k])
             except np.linalg.LinAlgError:
-                raise error(f"{name(k)} must be positive definite") from None
+                raise DataError(f"{name(k)} must be positive definite") from None
     return m
 
 
@@ -154,8 +156,8 @@ def validated_covariances(m: np.ndarray, error: type[ValueError], name) -> np.nd
 class Covariance3:
     """A validated 3x3 covariance over ``(x, y, theta)``.
 
-    Construction fails unless the matrix is symmetric (to 1e-12) and
-    positive definite.  The precision matrix (inverse) is computed once and
+    Construction fails with ``DataError`` unless the matrix is finite,
+    symmetric (to 1e-12) and positive definite.  The precision matrix (inverse) is computed once and
     cached; both arrays are frozen read-only.
     """
 
@@ -163,7 +165,7 @@ class Covariance3:
 
     def __post_init__(self):
         m = np.asarray(self.matrix)[None]
-        m = validated_covariances(m, ValueError, lambda k: "covariance")[0]
+        m = validated_covariances(m, lambda k: "covariance")[0]
         prec = np.linalg.inv(m)
         prec = 0.5 * (prec + prec.T)
         m.setflags(write=False)

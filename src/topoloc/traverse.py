@@ -1,16 +1,9 @@
 """Traverses: the common carrier between simulator, map builder and tasks.
 
-A traverse of ``T`` frames is four read-only columns:
-
-``descriptors``  ``(T, d)`` float32 appearance vectors;
-``odom_means``   ``(T-1, 3)`` relative poses ``(dx, dy, dtheta)``, row
-                 ``t-1`` measured from frame ``t-1`` to frame ``t``;
-``odom_covs``    ``(T-1, 3, 3)`` their covariances;
-``gt_poses``     ``(T, 3)`` global poses for evaluation, or ``None``.
-
-They are validated once, on construction.  :attr:`Traverse.frames` is a
-per-frame view of the same data as :class:`Frame` objects, built on first
-access; inference reads each step's :class:`OdometryStep` from it.
+A traverse is a few validated, read-only columns with one row per frame or
+per step; :attr:`Traverse.frames` presents them as one :class:`Frame` per
+time step, built on first access, and inference reads each step's
+:class:`OdometryStep` from it.
 """
 
 from __future__ import annotations
@@ -38,11 +31,6 @@ class Frame:
     gt_pose: Pose2 | None
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
 def _poses(values, rows: int, what: str, first: int) -> np.ndarray:
     """A finite ``(rows, 3)`` float copy with angles wrapped to ``(-pi, pi]``.
 
@@ -55,18 +43,21 @@ def _poses(values, rows: int, what: str, first: int) -> np.ndarray:
     if bad.any():
         raise DataError(f"{what} of frame {first + int(np.argmax(bad))} must be finite")
     a[:, 2] = wrap_angle(a[:, 2])
-    return _frozen(a)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
 class Traverse:
-    """An ordered frame sequence with one odometry step per consecutive pair.
+    """``T`` frames with one odometry step per consecutive pair.
 
-    Checked on construction: at least one frame and a non-empty descriptor
-    dimension; ``T - 1`` odometry means and covariances; finite values
-    throughout; covariances symmetric to 1e-12 and positive definite.
-    Odometry and ground-truth angles are wrapped to ``(-pi, pi]``.  Errors
-    name the offending frame.
+    ``descriptors`` is ``(T, d)`` float32; ``odom_means`` ``(T-1, 3)`` holds
+    the relative pose ``(dx, dy, dtheta)`` from frame ``t-1`` to frame ``t``
+    in row ``t-1``, and ``odom_covs`` ``(T-1, 3, 3)`` its covariance;
+    ``gt_poses`` ``(T, 3)`` is the global pose used only by evaluation, or
+    ``None``.  Construction copies and checks them once: ``T >= 1`` and
+    ``d >= 1``, matching row counts, finite values, covariances symmetric to
+    1e-12 and positive definite; angles are wrapped to ``(-pi, pi]``.
+    Errors name the offending frame.
     """
 
     descriptors: np.ndarray
@@ -85,16 +76,16 @@ class Traverse:
         covs = np.asarray(self.odom_covs, dtype=float)
         if covs.shape[:1] != (n - 1,):
             raise DataError(f"odom_covs must hold {n - 1} covariances, got {covs.shape}")
-        covs = validated_covariances(
-            covs, DataError, lambda k: f"odometry covariance of frame {k + 1}"
-        )
+        covs = validated_covariances(covs, lambda k: f"odometry covariance of frame {k + 1}")
         gt = self.gt_poses
         for name, value in (
-            ("descriptors", _frozen(desc)),
+            ("descriptors", desc),
             ("odom_means", _poses(self.odom_means, n - 1, "odometry mean", 1)),
-            ("odom_covs", _frozen(covs)),
+            ("odom_covs", covs),
             ("gt_poses", None if gt is None else _poses(gt, n, "ground-truth pose", 0)),
         ):
+            if value is not None:
+                value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:

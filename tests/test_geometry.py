@@ -118,7 +118,7 @@ def test_pose_rows_match_scalar_algebra_bit_for_bit():
 
 def test_validated_covariances_name_the_first_bad_matrix():
     stack = np.stack([np.eye(3)] * 4)
-    assert np.array_equal(validated_covariances(stack, DataError, str), stack)
+    assert np.array_equal(validated_covariances(stack, str), stack)
     label = lambda k: f"step {k}"  # noqa: E731
     for k, fault, match in [
         (2, (1, 1, -1.0), "step 2 must be positive definite"),
@@ -128,7 +128,7 @@ def test_validated_covariances_name_the_first_bad_matrix():
         bad = stack.copy()
         bad[(k, *fault[:2])] = fault[2]
         with pytest.raises(DataError, match=match):
-            validated_covariances(bad, DataError, label)
+            validated_covariances(bad, label)
 
 
 def test_interpolate_pose_endpoints_and_short_way():

@@ -139,7 +139,7 @@ def _breaks_rule(written, mutation, key: str, droppable: bool) -> bool | None:
         return not droppable
     if mutation == "null":
         return key not in _OPTIONAL and written is not None
-    if written is None:  # an optional field: its type is not on the page
+    if written is None:  # a null field: its type is not on the page
         return None
     wanted = {"string": "str", "bool": "bool", "number": "float"}[mutation]
     return None if _kind(written) == wanted else True

@@ -19,14 +19,6 @@ from topoloc.tasks import (
 )
 from topoloc.traverse import Traverse
 
-def _head(query, n):
-    """The first ``n`` frames of ``query``."""
-    gt = None if query.gt_poses is None else query.gt_poses[:n]
-    return Traverse(
-        query.descriptors[:n], query.odom_means[: n - 1], query.odom_covs[: n - 1], gt
-    )
-
-
 # one small rendered scenario shared by most tests in this module
 _spec = noiseless_scenario()
 _world, _ref, _query = simulate_scenario(_spec, 0)
@@ -67,8 +59,7 @@ def test_forward_only_differs_only_in_belief_source():
 
 
 def test_lcd_rejects_dimension_mismatch():
-    bad = _head(_query, 2)
-    bad = Traverse(np.ones((2, _map.descriptor_dim + 1)), bad.odom_means, bad.odom_covs)
+    bad = Traverse(np.ones((1, _map.descriptor_dim + 1)), np.empty((0, 3)), np.empty((0, 3, 3)))
     with pytest.raises(DataError):
         run_lcd(_map, bad, _params)
 
@@ -113,7 +104,8 @@ def test_wakeup_validates_start():
     with pytest.raises(DataError):
         run_wakeup(_map, _query, 0, 0, _params)
     with pytest.raises(DataError):
-        run_wakeup_batch(_map, _head(_query, 1), 3, 0, 5, _params)
+        one = Traverse(_query.descriptors[:1], np.empty((0, 3)), np.empty((0, 3, 3)))
+        run_wakeup_batch(_map, one, 3, 0, 5, _params)
 
 
 def test_wakeup_batch_deterministic_and_ordered():
