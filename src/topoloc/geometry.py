@@ -38,11 +38,6 @@ def wrap_angle(theta):
     float or ndarray
         Wrapped angle(s), same shape as the input.
     """
-    if type(theta) is float:  # the same steps on one Python float, bit for bit
-        if not math.isfinite(theta):
-            raise ValueError("wrap_angle requires finite input")
-        shifted = math.fmod(theta + math.pi, _TWO_PI)
-        return (shifted + _TWO_PI if shifted <= 0.0 else shifted) - math.pi
     arr = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_angle requires finite input")

@@ -158,6 +158,8 @@ def build_map(reference: Traverse, node_spacing: float, window: int) -> Topometr
         If the traverse yields fewer than two nodes (shorter than one
         spacing interval), or parameters are invalid.
     """
+    if not float(node_spacing) > 0.0:
+        raise DataError("node_spacing must be positive")
     if int(window) < 2:
         raise DataError("window must be at least 2")
     window = int(window)

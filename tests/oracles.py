@@ -3,8 +3,13 @@
 Everything here trades efficiency for obviousness: posteriors by explicit
 path enumeration, segment minima by dense grid search, the chi-square CDF by
 numerical quadrature, and the one-pose-at-a-time forms of what the package
-computes only on whole arrays.  It imports nothing but the package's value
-types, so a bug in the library cannot hide in its own oracle.
+computes only on whole arrays.  Most of it imports nothing but the package's
+value types, so a bug in the library cannot hide in its own oracle.  The
+exceptions are ``min_mahalanobis_on_segment(s)``, thin wrappers over the
+library's segment kernel (``segment_directions`` followed by
+``min_mahalanobis_on_directed_segments``) that let a test score raw endpoint
+rows; a check that needs the kernel itself verified compares against
+``grid_min_mahalanobis`` instead.
 """
 
 from __future__ import annotations
@@ -217,6 +222,28 @@ def segment_endpoints(map_, i: int, j: int) -> tuple[Pose2, Pose2]:
     if j + 1 < map_.n_nodes and j + 1 - i < map_.window:
         return lo, mean_pose(cur, rel_pose(map_, i, j + 1))
     return lo, cur
+
+
+def segment_endpoint_rows(map_, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``segment_endpoints`` as raw ``(3,)`` rows, with the map's own midpoint arithmetic.
+
+    The midpoint of rows ``a`` and ``b`` is ``0.5 * (a + b)`` with the angle
+    set to ``a + 0.5 * wrap(b - a)`` and left unwrapped, as the map's edge
+    geometry forms it, so the rows match its segments bit for bit.
+    """
+    if not 1 <= j - i < map_.window or j >= map_.n_nodes:
+        raise DataError(f"edge {i} -> {j} does not exist")
+
+    def midpoint(a, b):
+        out = 0.5 * (a + b)
+        out[2] = a[2] + 0.5 * wrap_angle(b[2] - a[2])
+        return out
+
+    band, k = map_.band, j - i
+    lo = midpoint(band[i, k - 1], band[i, k])
+    if j + 1 < map_.n_nodes and k + 1 < map_.window:
+        return lo, midpoint(band[i, k], band[i, k + 1])
+    return lo, band[i, k].copy()
 
 
 def within(model, i: int) -> list[tuple[int, float]]:

@@ -18,6 +18,7 @@ from oracles import (
     min_mahalanobis_on_segment,
     min_mahalanobis_on_segments,
     relative,
+    segment_endpoint_rows,
     segment_endpoints,
     to_dense,
     within,
@@ -229,9 +230,9 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
     seg_valid = np.zeros((window - 1, n), dtype=bool)
     for off in range(1, window):
         for i in range(n - off):
-            lo, hi = segment_endpoints(m, i, i + off)
-            raw_lo[(off - 1) * n + i] = lo.as_array()
-            raw_hi[(off - 1) * n + i] = hi.as_array()
+            lo, hi = segment_endpoint_rows(m, i, i + off)
+            raw_lo[(off - 1) * n + i] = lo
+            raw_hi[(off - 1) * n + i] = hi
             seg_valid[off - 1, i] = True
     assert not seg_valid.all()
     assert degenerate[:k][seg_valid.reshape(-1)].any()
@@ -244,10 +245,8 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
         d2, s = min_mahalanobis_on_directed_segments(
             starts, u, degenerate, odom.mean, odom.cov
         )
-        # equal up to rounding: the scalar midpoint wraps its angle, the
-        # rowwise one leaves it to the kernel's wrapped residuals
-        assert d2[:k] == pytest.approx(d2_raw, rel=1e-12, abs=1e-12)
-        assert s[:k] == pytest.approx(s_raw, rel=1e-12, abs=1e-12)
+        assert np.array_equal(d2[:k], d2_raw)
+        assert np.array_equal(s[:k], s_raw)
         assert s[k] == 0.0
 
 
