@@ -3,28 +3,32 @@
 State layout
 ------------
 Belief vectors have length ``N + 1``: entries ``0..N-1`` are map nodes in map
-order, entry ``N`` is the off-map state.  Forward messages are kept scaled
-(each sums to one) with the per-step scale constants ``c_t`` stored alongside;
-their product is the total evidence.  The backward pass divides by the stored
-``c_t`` (the standard scaled convention), so smoothed marginals are simply the
-renormalized elementwise product of the two messages.
+order, entry ``N`` is the off-map state.  A whole query's messages are
+``(T, N + 1)`` arrays with one row per frame, checked once per array.
+Forward messages are kept scaled (each sums to one) with the per-step scale
+constants ``c_t`` stored alongside; the sum of their logs is the log
+evidence (their product underflows on queries of a few hundred frames).  The
+backward pass divides by the stored ``c_t`` (the standard scaled
+convention), so smoothed marginals are simply the renormalized elementwise
+product of the two messages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MeasurementDegenerateError
 from .mapping import TopometricMap
-from .motion import TransitionModel
+from .motion import TransitionModel, TransitionStack
 
 __all__ = [
     "Belief",
     "Decision",
     "FilterTrace",
-    "convergence_score",
+    "convergence_scores",
     "decide",
     "forward_init",
     "forward_step",
@@ -32,6 +36,19 @@ __all__ = [
     "run_forward",
     "smooth_pass",
 ]
+
+
+def _check_beliefs(within: np.ndarray, off: np.ndarray) -> None:
+    """Rows ``(T, N)`` of within-map mass and ``(T,)`` off-map masses are beliefs.
+
+    Every entry is non-negative and every row sums to one within 1e-9.
+    """
+    if min(within.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
+        raise ValueError("belief entries must be non-negative")
+    totals = within.sum(axis=1) + off
+    miss = np.abs(totals - 1.0)
+    if miss.max(initial=0.0) > 1e-9:
+        raise ValueError(f"belief must sum to 1 within 1e-9, got {totals[np.argmax(miss > 1e-9)]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,11 +62,7 @@ class Belief:
         w = np.asarray(self.within, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("within must be a non-empty vector")
-        if w.min() < -1e-12 or self.off < -1e-12:
-            raise ValueError("belief entries must be non-negative")
-        total = w.sum() + self.off
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"belief must sum to 1 within 1e-9, got {total}")
+        _check_beliefs(w[None], np.array([self.off], dtype=float))
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "within", w)
@@ -112,58 +125,50 @@ def forward_step(
     return _normalize(raw, step=None)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FilterTrace:
-    """Everything the backward pass needs: messages, scales, models, likelihoods.
+    """Everything the backward pass needs, as whole-query arrays.
 
-    ``alphas[t]`` is the scaled forward message after fusing frame ``t``;
-    ``scales[t]`` the matching scale constant; ``models[t - 1]`` and
-    ``likelihoods[t]`` the transition model into and likelihood vector of
-    frame ``t`` (``likelihoods[0]`` pairs with the prior).
+    ``alphas[t]`` is the scaled forward message after fusing frame ``t``
+    (``(T, N + 1)``); ``scales[t]`` the matching scale constant (``(T,)``);
+    ``transitions[t - 1]`` and ``likelihoods[t]`` the transition model into
+    and likelihood row of frame ``t`` (``likelihoods[0]`` pairs with the
+    prior).
     """
 
-    alphas: list[np.ndarray] = field(default_factory=list)
-    scales: list[float] = field(default_factory=list)
-    models: list[TransitionModel] = field(default_factory=list)
-    likelihoods: list[np.ndarray] = field(default_factory=list)
+    alphas: np.ndarray
+    scales: np.ndarray
+    transitions: TransitionStack
+    likelihoods: np.ndarray
 
-    def evidence(self) -> float:
-        """Product of the scale constants: the total observation evidence."""
-        return float(np.prod(self.scales))
+    def log_evidence(self) -> float:
+        """``sum(log c_t)``: the log of the total observation evidence."""
+        return float(np.log(self.scales).sum())
 
 
-def run_forward(prior: Belief, models, likelihoods) -> FilterTrace:
-    """Run the scaled forward pass over aligned models and likelihoods.
+def run_forward(prior: Belief, transitions: TransitionStack, likelihoods) -> FilterTrace:
+    """Run the scaled forward pass over a query's transitions and likelihoods.
 
-    ``likelihoods`` has one vector per frame; ``models`` one transition model
-    per step (one fewer).  Degenerate scales surface with the failing step
+    ``likelihoods`` is ``(T, N + 1)``, one row per frame; ``transitions``
+    holds one step fewer.  Degenerate scales surface with the failing step
     index attached.
     """
-    models = list(models)
-    likelihoods = [np.asarray(g, dtype=float) for g in likelihoods]
-    if len(likelihoods) != len(models) + 1:
-        raise ValueError("need exactly one more likelihood vector than models")
-    trace = FilterTrace()
-    alpha, c = forward_init(prior, likelihoods[0])
-    trace.alphas.append(alpha)
-    trace.scales.append(c)
-    trace.likelihoods.append(likelihoods[0])
-    for t, (model, g) in enumerate(zip(models, likelihoods[1:]), start=1):
-        try:
-            alpha, c = forward_step(alpha, model, g)
-        except MeasurementDegenerateError as exc:
-            raise MeasurementDegenerateError(
-                f"likelihood mass vanished at step {t}", step=t
-            ) from exc
-        trace.alphas.append(alpha)
-        trace.scales.append(c)
-        trace.models.append(model)
-        trace.likelihoods.append(g)
-    return trace
+    likelihoods = np.asarray(likelihoods, dtype=float)
+    if likelihoods.ndim != 2 or len(likelihoods) != len(transitions) + 1:
+        raise ValueError("need exactly one more likelihood row than transition steps")
+    alphas = np.empty(likelihoods.shape)
+    scales = np.empty(len(likelihoods))
+    alphas[0], scales[0] = forward_init(prior, likelihoods[0])
+    for t in range(1, len(likelihoods)):
+        raw = transitions[t - 1].propagate(alphas[t - 1])
+        raw *= likelihoods[t]
+        alphas[t], scales[t] = _normalize(raw, step=t)
+    _check_beliefs(alphas[:, :-1], alphas[:, -1])
+    return FilterTrace(alphas, scales, transitions, likelihoods)
 
 
-def smooth_pass(trace: FilterTrace) -> list[Belief]:
-    """Backward smoothing over a completed forward trace.
+def smooth_pass(trace: FilterTrace) -> np.ndarray:
+    """Backward smoothing over a completed forward trace: ``(T, N + 1)`` beliefs.
 
     The terminal backward message is all ones; each step applies the
     transition and likelihood of the later frame and divides by that frame's
@@ -171,24 +176,26 @@ def smooth_pass(trace: FilterTrace) -> list[Belief]:
     ``alpha_t * beta_t``; the final smoothed belief equals the final filtered
     one by construction.
     """
-    n_frames = len(trace.alphas)
+    alphas = trace.alphas
+    n_frames = len(alphas)
     if n_frames == 0:
         raise ValueError("cannot smooth an empty trace")
-    if len(trace.models) != n_frames - 1 or len(trace.likelihoods) != n_frames:
+    if len(trace.transitions) != n_frames - 1 or trace.likelihoods.shape != alphas.shape:
         raise ValueError("trace is inconsistent")
-    beta = np.ones_like(trace.alphas[-1])
-    smoothed = [Belief.from_vector(trace.alphas[-1])]
+    smoothed = np.empty(alphas.shape)
+    smoothed[-1] = alphas[-1]
+    beta = np.ones(alphas.shape[1])
     for t in range(n_frames - 1, 0, -1):
         weighted = trace.likelihoods[t] * beta
-        beta = trace.models[t - 1].backpropagate(weighted) / trace.scales[t]
-        product = trace.alphas[t - 1] * beta
+        beta = trace.transitions[t - 1].backpropagate(weighted) / trace.scales[t]
+        product = alphas[t - 1] * beta
         total = product.sum()
         if not total > 0.0:
             raise MeasurementDegenerateError(
                 f"smoothed mass vanished at step {t - 1}", step=t - 1
             )
-        smoothed.append(Belief.from_vector(product / total))
-    smoothed.reverse()
+        smoothed[t - 1] = product / total
+    _check_beliefs(smoothed[:, :-1], smoothed[:, -1])
     return smoothed
 
 
@@ -201,34 +208,42 @@ class Decision:
     converged: bool
 
 
-def convergence_score(
-    belief: Belief, map_: TopometricMap, radius_m: float
-) -> tuple[int, float]:
-    """Mode node and the belief mass concentrated around it.
+def convergence_scores(
+    within: np.ndarray, map_: TopometricMap, radius_m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mode node and the belief mass concentrated around it, for each row.
 
-    The mode is the within-map argmax (off-map mass never wins; ties go to
-    the lowest index).  ``tau`` sums the within-map mass over nodes whose
-    index distance from the mode is at most ``round(radius_m /
-    node_spacing)``; off-map mass is excluded, so a posterior drifting
-    off-map suppresses convergence.
+    ``within`` holds the within-map part of ``T`` beliefs, ``(T, N)``.  The
+    mode is the argmax (off-map mass never wins; ties go to the lowest
+    index).  ``tau`` sums the mass over nodes whose index distance from the
+    mode is at most ``round(radius_m / node_spacing)``, in index order;
+    off-map mass is excluded, so a posterior drifting off-map suppresses
+    convergence.  Returns the ``(T,)`` arrays ``(modes, taus)``.
     """
-    if belief.n_nodes != map_.n_nodes:
-        raise ValueError("belief and map disagree on the number of nodes")
+    n = map_.n_nodes
+    if within.ndim != 2 or within.shape[1] != n:
+        raise ValueError("beliefs and map disagree on the number of nodes")
     if not radius_m >= 0.0:
         raise ValueError("radius_m must be non-negative")
-    mode = int(np.argmax(belief.within))
-    half_width = int(np.floor(radius_m / map_.node_spacing + 0.5))
-    lo = max(0, mode - half_width)
-    hi = min(belief.n_nodes, mode + half_width + 1)
-    tau = float(belief.within[lo:hi].sum())
-    return mode, tau
+    modes = np.argmax(within, axis=1)
+    # nodes beyond either end count as zero mass; n - 1 reaches every node
+    half = min(math.floor(radius_m / map_.node_spacing + 0.5), n - 1)
+    padded = np.zeros((len(within), n + 2 * half))
+    padded[:, half : half + n] = within
+    mass = padded[np.arange(len(within))[:, None], modes[:, None] + np.arange(2 * half + 1)]
+    taus = np.add.accumulate(mass, axis=1)[:, -1]
+    return modes, taus
 
 
 def decide(
     belief: Belief, map_: TopometricMap, radius_m: float, tau_thres: float
 ) -> Decision:
-    """Convergence detection: propose the mode iff ``tau`` strictly exceeds the gate."""
+    """Convergence detection: propose the mode iff ``tau`` strictly exceeds the gate.
+
+    One belief's :func:`convergence_scores`.
+    """
     if not 0.0 <= tau_thres <= 1.0:
         raise ValueError("tau_thres must lie in [0, 1]")
-    mode, tau = convergence_score(belief, map_, radius_m)
-    return Decision(mode=mode, tau=tau, converged=tau > tau_thres)
+    modes, taus = convergence_scores(belief.within[None], map_, radius_m)
+    tau = float(taus[0])
+    return Decision(mode=int(modes[0]), tau=tau, converged=tau > tau_thres)

@@ -205,36 +205,42 @@ def segment_directions(lo: np.ndarray, hi: np.ndarray):
 
 
 def min_mahalanobis_on_directed_segments(
-    lo: np.ndarray, u: np.ndarray, degenerate: np.ndarray, mu, sigma: Covariance3
+    lo: np.ndarray, u: np.ndarray, degenerate: np.ndarray, mu, prec: np.ndarray
 ):
-    """Minimum squared Mahalanobis distance from ``mu`` to each pose segment.
+    """Minimum squared Mahalanobis distance from each pose ``mu`` to each segment.
 
     Segment ``k`` is ``T(s) = lo_k + s * u_k`` for ``s`` in ``[0, 1]``:
     ``lo`` holds the starts as columns, shape ``(3, K)``, and ``u``,
     ``degenerate`` are their :func:`segment_directions`, which depend on the
-    segments only and are kept by callers that score many queries.  The
-    angle of ``mu`` is brought to the representative nearest each start.
-    The minimiser is the closed-form solution of the 1-D quadratic, clamped
-    to ``[0, 1]``; degenerate segments score the point distance at
-    ``s = 0``.  Returns the ``(K,)`` pair ``(d2, s)``.
+    segments only and are kept by callers that score many queries.  ``mu``
+    is one pose ``(3,)`` or a stack ``(S, 3)``, and ``prec`` the matching
+    precision matrix ``(3, 3)`` or stack ``(S, 3, 3)``; every pose is scored
+    against every segment, and a pose's result depends on nothing else in
+    the stack.  The angle of ``mu`` is brought to the representative
+    nearest each start.  The minimiser is the closed-form solution of the
+    1-D quadratic, clamped to ``[0, 1]``; degenerate segments score the
+    point distance at ``s = 0``.  Returns the pair ``(d2, s)``, of shape
+    ``(K,)`` or ``(S, K)``.
     """
-    if isinstance(mu, Pose2):
-        mu = mu.as_array()
     mu = np.asarray(mu, dtype=float)
-    if mu.shape != (3,):
-        raise ValueError("mu must be a single pose")
+    prec = np.asarray(prec, dtype=float)
+    if mu.shape[-1:] != (3,) or mu.ndim > 2 or prec.shape != mu.shape[:-1] + (3, 3):
+        raise ValueError("mu must be (3,) or (S, 3), with precisions to match")
 
-    prec = sigma.precision
-    r = mu[:, None] - lo
-    r[2] = wrap_angle(r[2])
+    # row by row: numpy broadcasts a (S, 3, 1) operand several times slower
+    r = np.empty(mu.shape[:-1] + lo.shape)
+    for i in range(3):
+        np.subtract(mu[..., i, None], lo[i], out=r[..., i, :])
+    r[..., 2, :] = wrap_angle(r[..., 2, :])
     pu = prec @ u
-    denom = np.einsum("ik,ik->k", pu, u)
-    num = np.einsum("ik,ik->k", pu, r)
+    denom = np.einsum("...ik,...ik->...k", pu, u)
+    num = np.einsum("...ik,...ik->...k", pu, r)
     s = num / np.where(degenerate, 1.0, denom)
     np.clip(s, 0.0, 1.0, out=s)
-    s[degenerate] = 0.0
-    r -= s * u
-    d2 = np.einsum("ik,ik->k", prec @ r, r)
+    s[..., degenerate] = 0.0
+    for i in range(3):
+        r[..., i, :] -= s * u[i]
+    d2 = np.einsum("...ik,...ik->...k", prec @ r, r)
     return np.maximum(d2, 0.0, out=d2), s
 
 

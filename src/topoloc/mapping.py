@@ -97,6 +97,14 @@ class TopometricMap:
         return out
 
     @cached_property
+    def descriptor_sq_norms(self) -> np.ndarray:
+        """``||z_v||^2`` of each node's float64 descriptor, cached for distance products."""
+        d = self.descriptors_f64
+        out = np.einsum("ij,ij->i", d, d)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def edge_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Map-only inputs of the motion model, computed once per map.
 

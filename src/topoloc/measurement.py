@@ -6,6 +6,18 @@ query frame so that the mean reference distance scores ``1 / rho`` relative
 to the best match.  The off-map state receives the k-th largest within-map
 likelihood: high enough that it competes when nothing stands out, low enough
 that a clear match wins.
+
+Distances are computed as matrix products, ``||z||^2 + ||z_v||^2 - 2 z . z_v``
+with the map's squared norms cached, so a whole query costs one GEMM
+(Johnson, Douze & Jegou, "Billion-scale similarity search with GPUs", 2019).
+That form cancels catastrophically when ``z`` is close to ``z_v``: a query
+equal to a map descriptor scores 1e-8 to 1e-7 instead of 0, and clamping at
+0 does not help, so the noiseless scenario's taus would move by about
+1e-10.  Every entry whose squared distance is below ``_GUARD`` times
+``||z||^2 + ||z_v||^2`` is therefore recomputed in the difference form
+``||z - z_v||``: 2.75e-4 of the entries on the noiseless S0, none on S1-S3.
+The kernel rate is calibrated on the difference form of its one frame, so it
+does not depend on how a run batches its distances.
 """
 
 from __future__ import annotations
@@ -19,8 +31,7 @@ from .mapping import TopometricMap
 
 __all__ = [
     "MeasurementParams", "calibrate_lambda", "descriptor_distances",
-    "lambda_from_distances", "likelihood_vector", "likelihoods_from_distances",
-    "order_stat_k",
+    "likelihood_vector", "likelihoods_from_distances", "order_stat_k",
 ]
 
 
@@ -55,29 +66,63 @@ def order_stat_k(n_nodes: int, params: MeasurementParams) -> int:
     return min(n_nodes, max(math.ceil(params.k_frac * n_nodes), params.k_min))
 
 
-def descriptor_distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
-    """Distances ``||z - z_v||`` to every node: the one ``N x d`` pass per frame."""
-    z = np.asarray(z, dtype=np.float64).reshape(-1)
-    if z.size != map_.descriptor_dim:
+# Relative size of a squared distance, against ||z||^2 + ||z_v||^2, below
+# which the matrix-product form has lost too many digits to cancellation.
+_GUARD = 1e-4
+# Guarded entries recomputed per pass, bounding the (entries, d) temporary.
+_GUARD_BLOCK = 4096
+
+
+def _difference_distances(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``||rows - z||`` along the last axis: the form that loses no digits near zero."""
+    return np.linalg.norm(rows - z, axis=-1)
+
+
+def _query_rows(z, map_: TopometricMap) -> np.ndarray:
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim not in (1, 2) or z.shape[-1] != map_.descriptor_dim:
         raise ValueError(
-            f"descriptor dimension mismatch: query {z.size}, map {map_.descriptor_dim}"
+            f"descriptor dimension mismatch: query {z.shape}, map {map_.descriptor_dim}"
         )
-    return np.linalg.norm(map_.descriptors_f64 - z[None, :], axis=1)
+    return z
+
+
+def descriptor_distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
+    """Distances ``||z - z_v||`` to every node: ``(d,)`` gives ``(N,)``, ``(T, d)`` ``(T, N)``.
+
+    One matrix product for all rows, with near-zero entries recomputed in the
+    difference form (see the module notes).
+    """
+    z = _query_rows(z, map_)
+    zs = np.atleast_2d(z)
+    refs = map_.descriptors_f64
+    z_sq = np.einsum("ij,ij->i", zs, zs)
+    scale = np.add.outer(z_sq, map_.descriptor_sq_norms)
+    d2 = zs @ refs.T
+    d2 *= -2.0
+    d2 += scale
+    scale *= _GUARD
+    rows, cols = np.nonzero(d2 < scale)
+    np.maximum(d2, 0.0, out=d2)
+    np.sqrt(d2, out=d2)
+    for lo in range(0, rows.size, _GUARD_BLOCK):
+        r, c = rows[lo : lo + _GUARD_BLOCK], cols[lo : lo + _GUARD_BLOCK]
+        d2[r, c] = _difference_distances(zs[r], refs[c])
+    return d2 if z.ndim == 2 else d2[0]
 
 
 def calibrate_lambda(z0: np.ndarray, map_: TopometricMap, rho: float) -> float:
     """Kernel rate from the first query frame's reference distances.
 
-    ``lam = ln(rho) / (d_mean - d_min)``; a degenerate spread (below 1e-9)
-    falls back to ``lam = 1``.
+    ``lam = ln(rho) / (d_mean - d_min)`` over the difference-form distances
+    of ``z0``; a degenerate spread (below 1e-9) falls back to ``lam = 1``.
     """
-    return lambda_from_distances(descriptor_distances(z0, map_), rho)
-
-
-def lambda_from_distances(d: np.ndarray, rho: float) -> float:
-    """:func:`calibrate_lambda` on precomputed :func:`descriptor_distances`."""
     if not rho > 1.0:
         raise ValueError("rho must exceed 1")
+    z0 = _query_rows(z0, map_)
+    if z0.ndim != 1:
+        raise ValueError("calibrate_lambda takes one descriptor")
+    d = _difference_distances(z0, map_.descriptors_f64)
     spread = float(d.mean() - d.min())
     if spread < 1e-9:
         return 1.0
@@ -89,21 +134,28 @@ def likelihood_vector(
 ) -> np.ndarray:
     """Unnormalized likelihoods over the ``N`` nodes plus the off-map state.
 
-    The returned vector has length ``N + 1`` with the off-map entry last;
-    that entry equals the k-th largest within-map value (an order statistic,
-    found by selection rather than a full sort).  ``params.lam`` must be
-    resolved (calibrated or overridden) before calling.
+    A descriptor ``(d,)`` gives a vector of length ``N + 1`` with the
+    off-map entry last, and a query's descriptors ``(T, d)`` one such row
+    per frame.  The off-map entry equals the k-th largest within-map value
+    (an order statistic, found by selection rather than a full sort).
+    ``params.lam`` must be resolved (calibrated or overridden) before
+    calling.
     """
     return likelihoods_from_distances(descriptor_distances(z, map_), params)
 
 
 def likelihoods_from_distances(d: np.ndarray, params: MeasurementParams) -> np.ndarray:
-    """:func:`likelihood_vector` on precomputed :func:`descriptor_distances`."""
+    """:func:`likelihood_vector` on precomputed :func:`descriptor_distances`.
+
+    Works row by row: ``(N,)`` distances give ``(N + 1,)`` likelihoods and
+    ``(T, N)`` give ``(T, N + 1)``.
+    """
     if params.lam is None:
         raise ValueError("likelihood_vector requires a resolved lam")
+    n = d.shape[-1]
+    g = np.empty(d.shape[:-1] + (n + 1,))
     with np.errstate(under="ignore"):
-        g = np.exp(-params.lam * d)
-    n = g.size
+        np.exp(-params.lam * d, out=g[..., :n])
     k = order_stat_k(n, params)
-    g_off = np.partition(g, n - k)[n - k]
-    return np.concatenate([g, [g_off]])
+    g[..., n] = np.partition(g[..., :n], n - k, axis=-1)[..., n - k]
+    return g

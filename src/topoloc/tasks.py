@@ -1,10 +1,10 @@
 """Task harnesses: offline loop-closure detection and global wakeup.
 
-Loop-closure detection runs the full pipeline over a query traverse:
-likelihoods for every frame, transition models for every step, one forward
-pass, one backward pass, then a convergence decision per frame on the
-smoothed (or, for the ablation, the filtered) beliefs.  The recorded tau
-values drive offline threshold sweeps.
+Loop-closure detection runs the full pipeline over a query traverse, each
+stage once over the whole query's arrays: likelihoods for every frame,
+transition models for every step, one forward pass, one backward pass, then
+a convergence score per frame on the smoothed (or, for the ablation, the
+filtered) beliefs.  The recorded tau values drive offline threshold sweeps.
 
 Wakeup starts from a uniform prior at an unknown query position and filters
 forward until the belief concentrates or the step budget runs out.  The
@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError
 from .filtering import (
     Belief,
+    convergence_scores,
     decide,
     forward_init,
     forward_step,
@@ -28,16 +29,16 @@ from .filtering import (
     run_forward,
     smooth_pass,
 )
+from .geometry import translation_norms
 from .mapping import TopometricMap
 from .measurement import (
     MeasurementParams,
     calibrate_lambda,
     descriptor_distances,
-    lambda_from_distances,
     likelihood_vector,
     likelihoods_from_distances,
 )
-from .motion import MotionParams, TransitionModel, build_transition_model
+from .motion import MotionParams, TransitionModel, build_transitions
 from .traverse import Traverse
 
 __all__ = [
@@ -49,6 +50,13 @@ __all__ = [
     "run_wakeup",
     "run_wakeup_batch",
 ]
+
+
+# Steps whose transition models a wakeup trial builds per call once it
+# reaches an unbuilt frame: the stacked kernel's cost per step falls with the
+# stack (S2: about 350 us alone, 210 us in eights), and a trial that
+# converges early wastes at most seven.
+_MODELS_AHEAD = 8
 
 
 @dataclass(frozen=True)
@@ -109,28 +117,19 @@ def run_lcd(map_: TopometricMap, query: Traverse, params: PipelineParams) -> Lcd
     meas = params.measurement
     if meas.lam is None:
         meas = replace(meas, lam=calibrate_lambda(query.descriptors[0], map_, meas.rho))
-    likelihoods = [likelihood_vector(z, map_, meas) for z in query.descriptors]
-    models = [
-        build_transition_model(map_, fr.odom, params.motion)
-        for fr in query.frames[1:]
-    ]
+    likelihoods = likelihood_vector(query.descriptors, map_, meas)
+    transitions = build_transitions(map_, query.odom_means, query.odom_covs, params.motion)
     prior = init_belief(map_.n_nodes, params.p0_off)
-    trace = run_forward(prior, models, likelihoods)
-    if params.forward_only:
-        beliefs = [Belief.from_vector(a) for a in trace.alphas]
-    else:
-        beliefs = smooth_pass(trace)
-    frames = []
-    for t, belief in enumerate(beliefs):
-        dec = decide(belief, map_, params.radius_m, params.tau_thres)
-        frames.append(
-            LcdFrame(
-                t=t,
-                proposal=dec.mode,
-                tau=dec.tau,
-                mode_mass=float(belief.within[dec.mode]),
-            )
+    trace = run_forward(prior, transitions, likelihoods)
+    beliefs = trace.alphas if params.forward_only else smooth_pass(trace)
+    modes, taus = convergence_scores(beliefs[:, :-1], map_, params.radius_m)
+    mode_mass = beliefs[np.arange(len(modes)), modes]
+    frames = [
+        LcdFrame(t=t, proposal=mode, tau=tau, mode_mass=mass)
+        for t, (mode, tau, mass) in enumerate(
+            zip(modes.tolist(), taus.tolist(), mode_mass.tolist())
         )
+    ]
     return LcdResult(frames=frames, lam=float(meas.lam))
 
 
@@ -179,8 +178,11 @@ def _wakeup_trial(
     """:func:`run_wakeup`, reading and filling the per-frame caches.
 
     ``models`` and ``dists`` map a frame index to its transition model and
-    descriptor distances; a missing frame is computed and added.  Only the
-    kernel rate is the trial's own: it is calibrated on its start frame.
+    descriptor distances; a missing frame is computed and added, from the
+    traverse's columns.  A missing model is built with those of up to
+    ``_MODELS_AHEAD - 1`` following frames within the trial's budget, which
+    changes no model's value.  Only the kernel rate is the trial's own: it
+    is calibrated on its start frame.
     """
     if query.descriptor_dim != map_.descriptor_dim:
         raise DataError("descriptor dimension mismatch between query and map")
@@ -196,7 +198,7 @@ def _wakeup_trial(
 
     meas = params.measurement
     if meas.lam is None:
-        meas = replace(meas, lam=lambda_from_distances(distances(start), meas.rho))
+        meas = replace(meas, lam=calibrate_lambda(query.descriptors[start], map_, meas.rho))
     prior = init_belief(map_.n_nodes, params.p0_off)
     alpha, _ = forward_init(prior, likelihoods_from_distances(distances(start), meas))
     steps_used = 0
@@ -205,15 +207,19 @@ def _wakeup_trial(
     proposal = None
     tau = 0.0
     last = min(start + max_steps, len(query) - 1)
+    # odometry row t - 1 is the step into frame t
+    step_lengths = translation_norms(query.odom_means[start:last]).tolist()
     for t in range(start + 1, last + 1):
-        frame = query.frames[t]
-        model = models.get(t)
-        if model is None:
-            model = models[t] = build_transition_model(map_, frame.odom, params.motion)
+        if t not in models:
+            rows = slice(t - 1, min(t - 1 + _MODELS_AHEAD, last))
+            stack = build_transitions(
+                map_, query.odom_means[rows], query.odom_covs[rows], params.motion
+            )
+            models.update((t + s, stack[s]) for s in range(len(stack)))
         g = likelihoods_from_distances(distances(t), meas)
-        alpha, _ = forward_step(alpha, model, g)
+        alpha, _ = forward_step(alpha, models[t], g)
         steps_used = t - start
-        distance += frame.odom.mean.translation_norm
+        distance += step_lengths[t - start - 1]
         dec = decide(Belief.from_vector(alpha), map_, params.radius_m, params.tau_thres)
         tau = dec.tau
         if dec.converged:
@@ -248,9 +254,10 @@ def run_wakeup_batch(
     The trials run in ascending order of start frame (ties in trial order)
     and share each covered frame's transition model and descriptor
     distances; a trial only turns distances into likelihoods at its own
-    kernel rate.  Both are computed the first time a trial needs them and
-    dropped when a trial starts after their frame, so each is computed at
-    most once per batch and at most ``max_steps + 1`` frames are held.
+    kernel rate.  Both are computed when a trial first needs them (models a
+    few frames ahead, within that trial's budget) and dropped when a trial
+    starts after their frame, so each is computed at most once per batch
+    and at most ``max_steps + 1`` frames are held.
     Results are returned in trial order.
     """
     if n_trials < 1:

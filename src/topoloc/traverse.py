@@ -1,9 +1,9 @@
 """Traverses: the common carrier between simulator, map builder and tasks.
 
 A traverse is a few validated, read-only columns with one row per frame or
-per step; :attr:`Traverse.frames` presents them as one :class:`Frame` per
-time step, built on first access, and inference reads each step's
-:class:`OdometryStep` from it.
+per step, and inference reads the columns.  :attr:`Traverse.frames`
+presents them as one :class:`Frame` per time step, built on first access,
+for callers that want per-frame objects.
 """
 
 from __future__ import annotations

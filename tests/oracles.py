@@ -3,7 +3,8 @@
 Everything here trades efficiency for obviousness: posteriors by explicit
 path enumeration, segment minima by dense grid search, the chi-square CDF by
 numerical quadrature, and the one-pose-at-a-time forms of what the package
-computes only on whole arrays.  Most of it imports nothing but the package's
+computes only on whole arrays, and descriptor distances by explicit
+differences.  Most of it imports nothing but the package's
 value types, so a bug in the library cannot hide in its own oracle.  The
 exceptions are ``min_mahalanobis_on_segment(s)``, thin wrappers over the
 library's segment kernel (``segment_directions`` followed by
@@ -111,6 +112,16 @@ def random_banded_model(rng, n, t_steps, window=3):
     return prior, transitions, likelihoods
 
 
+def difference_distances(z, map_):
+    """``||z - z_v||`` to every node by explicit differences, one query row at a time.
+
+    ``z`` is ``(d,)`` or ``(T, d)``, as for ``measurement.descriptor_distances``.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    rows = [np.linalg.norm(map_.descriptors_f64 - row, axis=1) for row in np.atleast_2d(z)]
+    return np.array(rows) if z.ndim == 2 else rows[0]
+
+
 def grid_min_mahalanobis(lo, hi, mean, cov_inv, n_grid=10_000):
     """Dense grid search for the segment minimum the closed form must match."""
     lo = np.asarray(lo, dtype=float)
@@ -187,7 +198,9 @@ def min_mahalanobis_on_segments(lo, hi, mu, sigma: Covariance3):
     hi = np.asarray(hi, dtype=float)
     assert lo.ndim == 2 and lo.shape[1] == 3 and lo.shape == hi.shape
     u, degenerate = segment_directions(lo.T, hi.T)
-    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, sigma)
+    if isinstance(mu, Pose2):
+        mu = mu.as_array()
+    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, sigma.precision)
 
 
 def min_mahalanobis_on_segment(a: Pose2, b: Pose2, mu: Pose2, sigma: Covariance3):

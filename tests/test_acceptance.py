@@ -9,6 +9,7 @@ asserts fire, so the verdicts are visible even in a quiet run.
 
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
@@ -33,7 +34,7 @@ from topoloc.tasks import PipelineParams, run_lcd, run_wakeup_batch
 from oracles import chi2_cdf_3_quad, enumerate_marginals, grid_min_mahalanobis
 from oracles import min_mahalanobis_on_segment
 from oracles import random_banded_model
-from test_filtering import dense_to_model
+from test_filtering import dense_to_stack
 
 SEEDS = range(20)
 
@@ -53,9 +54,8 @@ def test_1_filter_matches_path_enumeration(capsys):
         t_steps = int(rng.integers(1, 6))
         prior, transitions, likelihoods = random_banded_model(rng, n, t_steps)
         ref_f, ref_s, ref_ev = enumerate_marginals(prior, transitions, likelihoods)
-        models = [dense_to_model(m) for m in transitions]
         trace = run_forward(
-            Belief.from_vector(prior), models, [g.copy() for g in likelihoods]
+            Belief.from_vector(prior), dense_to_stack(transitions, n), likelihoods
         )
         smoothed = smooth_pass(trace)
         for t in range(t_steps + 1):
@@ -63,10 +63,10 @@ def test_1_filter_matches_path_enumeration(capsys):
                 worst_marginal, np.abs(trace.alphas[t] - ref_f[t]).max()
             )
             worst_marginal = max(
-                worst_marginal, np.abs(smoothed[t].vector - ref_s[t]).max()
+                worst_marginal, np.abs(smoothed[t] - ref_s[t]).max()
             )
         worst_evidence = max(
-            worst_evidence, abs(trace.evidence() - ref_ev) / ref_ev
+            worst_evidence, abs(math.exp(trace.log_evidence()) - ref_ev) / ref_ev
         )
     elapsed = time.perf_counter() - t0
     ok = worst_marginal < 1e-10 and worst_evidence < 1e-8 and elapsed < 10.0

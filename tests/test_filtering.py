@@ -5,14 +5,18 @@ The heavy checks compare against the path-enumeration oracle in
 decision rule's boundary conventions.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoloc.errors import MeasurementDegenerateError
 from topoloc.filtering import (
     Belief,
     FilterTrace,
-    convergence_score,
+    convergence_scores,
     decide,
     forward_init,
     forward_step,
@@ -21,8 +25,10 @@ from topoloc.filtering import (
     smooth_pass,
 )
 from topoloc.geometry import Pose2
-from topoloc.mapping import TopometricMap
-from topoloc.motion import TransitionModel
+from topoloc.mapping import TopometricMap, build_map
+from topoloc.measurement import MeasurementParams, calibrate_lambda, likelihood_vector
+from topoloc.motion import MotionParams, TransitionModel, TransitionStack, build_transitions
+from topoloc.simulate import builtin_scenarios, simulate_scenario
 
 from oracles import enumerate_marginals, random_banded_model, to_dense
 
@@ -42,6 +48,17 @@ def dense_to_model(m, window=3):
             valid[0, i] = True  # terminal self-loop slot
             probs[0, i] = m[i, i]
     return TransitionModel(probs, m[:n, n].copy(), float(m[n, n]), valid)
+
+
+def dense_to_stack(transitions, n, window=3):
+    """The oracle's dense matrices, which share one edge set, as a TransitionStack."""
+    models = [dense_to_model(m, window) for m in transitions]
+    return TransitionStack(
+        np.reshape([m.within_probs for m in models], (-1, window, n)),
+        np.reshape([m.to_off for m in models], (-1, n)),
+        [m.off_self for m in models],
+        models[0].valid if models else np.ones((window, n), dtype=bool),
+    )
 
 
 def line_map(n, spacing=2.0):
@@ -81,19 +98,18 @@ def test_belief_validation():
 def test_forward_matches_enumeration_small():
     rng = np.random.default_rng(11)
     prior, transitions, likelihoods = random_banded_model(rng, n=4, t_steps=3)
-    models = [dense_to_model(m) for m in transitions]
     trace = run_forward(
-        Belief.from_vector(prior), models, [g.copy() for g in likelihoods]
+        Belief.from_vector(prior), dense_to_stack(transitions, 4), likelihoods
     )
     ref_filtered, ref_smoothed, ref_evidence = enumerate_marginals(
         prior, transitions, likelihoods
     )
     for t in range(4):
         assert np.abs(trace.alphas[t] - ref_filtered[t]).max() < 1e-12
-    assert trace.evidence() == pytest.approx(ref_evidence, rel=1e-12)
+    assert trace.log_evidence() == pytest.approx(np.log(ref_evidence), rel=1e-12)
     smoothed = smooth_pass(trace)
     for t in range(4):
-        assert np.abs(smoothed[t].vector - ref_smoothed[t]).max() < 1e-12
+        assert np.abs(smoothed[t] - ref_smoothed[t]).max() < 1e-12
 
 
 def test_smoothed_equals_enumeration_5_state():
@@ -101,23 +117,22 @@ def test_smoothed_equals_enumeration_5_state():
     # hand check; the oracle enumerates so the tolerance can be tight
     rng = np.random.default_rng(23)
     prior, transitions, likelihoods = random_banded_model(rng, n=5, t_steps=4)
-    models = [dense_to_model(m) for m in transitions]
-    trace = run_forward(Belief.from_vector(prior), models, likelihoods)
+    trace = run_forward(Belief.from_vector(prior), dense_to_stack(transitions, 5), likelihoods)
     _, ref_smoothed, _ = enumerate_marginals(prior, transitions, likelihoods)
     smoothed = smooth_pass(trace)
     for t in range(5):
-        assert np.abs(smoothed[t].vector - ref_smoothed[t]).max() < 1e-10
+        assert np.abs(smoothed[t] - ref_smoothed[t]).max() < 1e-10
 
 
 def test_single_frame_smoothed_is_posterior_of_prior():
     prior = init_belief(3, 0.25)
     g0 = np.array([0.2, 0.9, 0.1, 0.3])
-    trace = run_forward(prior, [], [g0])
+    trace = run_forward(prior, dense_to_stack([], 3), [g0])
     smoothed = smooth_pass(trace)
     expected = prior.vector * g0
     expected /= expected.sum()
     assert len(smoothed) == 1
-    assert np.allclose(smoothed[0].vector, expected, atol=1e-15)
+    assert np.allclose(smoothed[0], expected, atol=1e-15)
 
 
 def test_uninformative_future_leaves_filtered_untouched():
@@ -137,21 +152,23 @@ def test_uninformative_future_leaves_filtered_untouched():
     prior = init_belief(1, 0.35)
     g_first = np.array([0.8, 0.2])
     uniform = np.ones(2)
-    trace = run_forward(prior, [model, model], [g_first, uniform, uniform])
+    stack = TransitionStack(
+        [model.within_probs] * 2, [model.to_off] * 2, [a] * 2, model.valid
+    )
+    trace = run_forward(prior, stack, [g_first, uniform, uniform])
     smoothed = smooth_pass(trace)
     for t in range(3):
-        assert np.allclose(smoothed[t].vector, trace.alphas[t], atol=1e-12)
+        assert np.allclose(smoothed[t], trace.alphas[t], atol=1e-12)
 
 
 def test_likelihood_scale_invariance():
     rng = np.random.default_rng(5)
     prior, transitions, likelihoods = random_banded_model(rng, n=5, t_steps=4)
-    models = [dense_to_model(m) for m in transitions]
+    stack = dense_to_stack(transitions, 5)
     scaled = [g * s for g, s in zip(likelihoods, (7.0, 1e-3, 40.0, 2.0, 1e4))]
-    a = smooth_pass(run_forward(Belief.from_vector(prior), models, likelihoods))
-    b = smooth_pass(run_forward(Belief.from_vector(prior), models, scaled))
-    for x, y in zip(a, b):
-        assert np.abs(x.vector - y.vector).max() < 1e-12
+    a = smooth_pass(run_forward(Belief.from_vector(prior), stack, likelihoods))
+    b = smooth_pass(run_forward(Belief.from_vector(prior), stack, scaled))
+    assert np.abs(a - b).max() < 1e-12
 
 
 def test_forward_step_normalizes_and_reports_scale():
@@ -178,7 +195,7 @@ def test_trace_length_mismatch_rejected():
     prior = init_belief(2, 0.0)
     g = np.ones(3)
     with pytest.raises(ValueError):
-        run_forward(prior, [], [g, g])  # two likelihoods but no model
+        run_forward(prior, dense_to_stack([], 2), [g, g])  # two likelihoods, no step
 
 
 def test_beliefs_normalized_across_random_runs():
@@ -187,21 +204,20 @@ def test_beliefs_normalized_across_random_runs():
         n = int(rng.integers(2, 7))
         t_steps = int(rng.integers(0, 5))
         prior, transitions, likelihoods = random_banded_model(rng, n=n, t_steps=t_steps)
-        models = [dense_to_model(m) for m in transitions]
-        trace = run_forward(Belief.from_vector(prior), models, likelihoods)
+        stack = dense_to_stack(transitions, n)
+        trace = run_forward(Belief.from_vector(prior), stack, likelihoods)
         for alpha in trace.alphas:
             assert abs(alpha.sum() - 1.0) < 1e-9
         for b in smooth_pass(trace):
-            assert abs(b.vector.sum() - 1.0) < 1e-9
+            assert abs(b.sum() - 1.0) < 1e-9
 
 
 def test_final_smoothed_equals_final_filtered():
     rng = np.random.default_rng(13)
     prior, transitions, likelihoods = random_banded_model(rng, n=4, t_steps=4)
-    models = [dense_to_model(m) for m in transitions]
-    trace = run_forward(Belief.from_vector(prior), models, likelihoods)
+    trace = run_forward(Belief.from_vector(prior), dense_to_stack(transitions, 4), likelihoods)
     smoothed = smooth_pass(trace)
-    assert np.allclose(smoothed[-1].vector, trace.alphas[-1], atol=1e-12)
+    assert np.allclose(smoothed[-1], trace.alphas[-1], atol=1e-12)
 
 
 def test_convergence_score_window_and_mode():
@@ -211,7 +227,7 @@ def test_convergence_score_window_and_mode():
     within[5] = 0.2
     within[2] = 0.1
     b = Belief(within / within.sum() * 0.9, 0.1)
-    mode, tau = convergence_score(b, m, radius_m=3.0)
+    (mode,), (tau,) = convergence_scores(b.within[None], m, radius_m=3.0)
     assert mode == 4
     # half width floor(3/2 + 0.5) = 2 covers nodes 2..6
     assert tau == pytest.approx((0.6 + 0.2 + 0.1) / 0.9 * 0.9)
@@ -220,7 +236,7 @@ def test_convergence_score_window_and_mode():
 def test_convergence_ignores_off_mass_in_numerator():
     m = line_map(5)
     b = Belief(np.full(5, 0.002), 0.99)
-    mode, tau = convergence_score(b, m, radius_m=3.0)
+    _, (tau,) = convergence_scores(b.within[None], m, radius_m=3.0)
     assert tau < 0.01
     d = decide(b, m, radius_m=3.0, tau_thres=0.01)
     assert not d.converged
@@ -240,13 +256,65 @@ def test_decide_strict_threshold():
 def test_argmax_tie_goes_to_lowest_index():
     m = line_map(4)
     b = Belief(np.array([0.3, 0.3, 0.2, 0.2]), 0.0)
-    mode, _ = convergence_score(b, m, radius_m=0.0)
+    (mode,), _ = convergence_scores(b.within[None], m, radius_m=0.0)
     assert mode == 0
 
 
 def test_filter_trace_evidence_is_scale_product():
     prior = init_belief(3, 0.0)
     g = np.array([0.5, 0.25, 0.2, 0.05])
-    trace = run_forward(prior, [], [g])
-    assert trace.evidence() == pytest.approx(float(prior.vector @ g))
+    trace = run_forward(prior, dense_to_stack([], 3), [g])
+    assert trace.log_evidence() == pytest.approx(np.log(float(prior.vector @ g)))
     assert isinstance(trace, FilterTrace)
+
+
+def test_log_evidence_stays_finite_where_the_scale_product_underflows():
+    # an S2-sized query: 671 scale constants below one multiply to 0.0
+    _, ref, query = simulate_scenario(builtin_scenarios()["S2"], 0)
+    m = build_map(ref, 2.0, 5)
+    meas = MeasurementParams(lam=calibrate_lambda(query.descriptors[0], m, math.e))
+    trace = run_forward(
+        init_belief(m.n_nodes, 0.1),
+        build_transitions(m, query.odom_means, query.odom_covs, MotionParams()),
+        likelihood_vector(query.descriptors, m, meas),
+    )
+    assert len(trace.scales) == len(query) > 600
+    assert np.prod(trace.scales) == 0.0
+    assert np.isfinite(trace.log_evidence())
+    assert trace.log_evidence() == np.log(trace.scales).sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), t_steps=st.integers(0, 4)
+)
+def test_stacked_forward_backward_matches_enumeration(seed, n, t_steps):
+    prior, transitions, likelihoods = random_banded_model(
+        np.random.default_rng(seed), n, t_steps
+    )
+    ref_filtered, ref_smoothed, ref_evidence = enumerate_marginals(
+        prior, transitions, likelihoods
+    )
+    trace = run_forward(
+        Belief.from_vector(prior), dense_to_stack(transitions, n), likelihoods
+    )
+    assert np.abs(trace.alphas - ref_filtered).max() < 1e-12
+    assert np.abs(smooth_pass(trace) - ref_smoothed).max() < 1e-10
+    assert trace.log_evidence() == pytest.approx(np.log(ref_evidence), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    rows=st.integers(1, 6),
+    radius=st.floats(0.0, 40.0),
+)
+def test_convergence_scores_sum_each_window_in_index_order(seed, n, rows, radius):
+    rng = np.random.default_rng(seed)
+    within = rng.uniform(size=(rows, n)) * rng.uniform(size=(rows, 1))
+    modes, taus = convergence_scores(within, line_map(n), radius)
+    half = math.floor(radius / 2.0 + 0.5)
+    for row, mode, tau in zip(within, modes, taus):
+        assert mode == np.argmax(row)
+        assert tau == np.add.accumulate(row[max(0, mode - half) : mode + half + 1])[-1]

@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import topoloc.measurement as measurement
 from topoloc.errors import MeasurementDegenerateError
-from topoloc.mapping import TopometricMap
+from topoloc.mapping import TopometricMap, build_map
 from topoloc.measurement import (
     MeasurementParams,
     calibrate_lambda,
+    descriptor_distances,
     likelihood_vector,
     order_stat_k,
 )
+from topoloc.simulate import noiseless_scenario, simulate_scenario
+from topoloc.tasks import PipelineParams, run_lcd
+
+from oracles import difference_distances
 
 
 def map_with_descriptors(desc):
@@ -143,3 +149,43 @@ def test_measurement_params_validation():
         MeasurementParams(k_min=0)
     with pytest.raises(ValueError):
         MeasurementParams(lam=0.0)
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_distances_match_the_difference_form(dim):
+    rng = np.random.default_rng(dim)
+    m = map_with_descriptors(rng.normal(size=(60, dim)))
+    z = rng.normal(size=(9, dim)).astype(np.float32)
+    want = difference_distances(z, m)
+    got = descriptor_distances(z, m)
+    assert got.shape == (9, 60)
+    assert np.abs(got - want).max() <= 1e-12 * (1 + dim)
+    one = descriptor_distances(z[4], m)
+    assert one.shape == (60,)
+    assert np.abs(one - want[4]).max() <= 1e-12 * (1 + dim)
+
+
+def test_query_equal_to_a_map_row_scores_exactly_zero():
+    # the product form alone leaves about 1e-7 on most of these diagonals
+    rng = np.random.default_rng(8)
+    desc = rng.normal(size=(40, 64)).astype(np.float32)
+    m = map_with_descriptors(desc)
+    assert not np.diag(descriptor_distances(desc, m)).any()
+    assert all(descriptor_distances(z, m)[i] == 0.0 for i, z in enumerate(desc))
+    # the kernel rate is calibrated on the difference form of one frame
+    assert calibrate_lambda(desc[5], m, math.e) == math.log(math.e) / (
+        difference_distances(desc[5], m).mean()
+    )
+
+
+def test_noiseless_lcd_matches_the_difference_form(monkeypatch):
+    # S0's query frames coincide with map nodes, where the product form
+    # alone moves the taus by about 1e-10
+    _, ref, query = simulate_scenario(noiseless_scenario(), 0)
+    m = build_map(ref, 2.0, 5)
+    got = run_lcd(m, query, PipelineParams())
+    monkeypatch.setattr(measurement, "descriptor_distances", difference_distances)
+    want = run_lcd(m, query, PipelineParams())
+    assert got.lam == want.lam
+    assert np.array_equal(got.proposals(), want.proposals())
+    assert np.abs(got.taus() - want.taus()).max() <= 1e-12

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topoloc.geometry import (
     Covariance3,
@@ -11,7 +13,14 @@ from topoloc.geometry import (
     min_mahalanobis_on_directed_segments,
 )
 from topoloc.mapping import TopometricMap
-from topoloc.motion import MotionParams, TransitionModel, build_transition_model
+from topoloc.motion import (
+    MOTION_MODES,
+    MotionParams,
+    TransitionModel,
+    TransitionStack,
+    build_transition_model,
+    build_transitions,
+)
 
 from oracles import (
     mahalanobis_sq,
@@ -243,7 +252,7 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
     for odom in (step(2.0), step(0.0, 0.0, 0.0), step(4.1, -0.3, 3.1), step(1.0, 2.0, -2.0)):
         d2_raw, s_raw = min_mahalanobis_on_segments(raw_lo, raw_hi, odom.mean, odom.cov)
         d2, s = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom.mean, odom.cov
+            starts, u, degenerate, odom.mean.as_array(), odom.cov.precision
         )
         assert np.array_equal(d2[:k], d2_raw)
         assert np.array_equal(s[:k], s_raw)
@@ -260,7 +269,7 @@ def test_stay_column_scores_identity_pose():
     steps += [OdometryStep(Pose2(0.4, -0.3, t), correlated) for t in (3.1, -3.1)]
     for odom in steps:
         d2, _ = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom.mean, odom.cov
+            starts, u, degenerate, odom.mean.as_array(), odom.cov.precision
         )
         want = mahalanobis_sq(Pose2(0.0, 0.0, 0.0), odom.mean, odom.cov)
         # same arithmetic up to summation order and the sign of the residual
@@ -272,7 +281,7 @@ def test_stay_column_scores_identity_pose():
     for t in (np.pi, -np.pi, 3 * np.pi):
         odom = OdometryStep(Pose2(0.4, -0.3, t), correlated)
         d2, _ = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom.mean, odom.cov
+            starts, u, degenerate, odom.mean.as_array(), odom.cov.precision
         )
         want = mahalanobis_sq(odom.mean, Pose2(0.0, 0.0, 0.0), odom.cov)
         assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -298,3 +307,77 @@ def test_gate_saturates_when_odometry_contradicts_map():
     # a 3 m sideways jump fits no forward edge
     model = build_transition_model(m, step(0.0, 3.0, 0.0, sx=0.05, sy=0.05), MotionParams())
     assert model.to_off.min() > 0.999
+
+
+@st.composite
+def banded_problems(draw):
+    """A random small banded map and odometry steps, headings near +-pi.
+
+    Node headings turn by about 0 or pi between neighbours, so band angles
+    and segment directions sit near 0 and +-pi; odometry headings sit near
+    +-pi; covariances are correlated and SPD.  Each step comes both as the
+    traverse columns and as the :class:`OdometryStep` holding the same values.
+    """
+    n = draw(st.integers(2, 12))
+    window = draw(st.integers(2, 5))
+    n_steps = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    turns = np.pi * rng.integers(0, 2, size=n) + rng.normal(scale=0.05, size=n)
+    lengths = rng.uniform(0.0, 3.0, size=n)
+    lengths[rng.uniform(size=n) < 0.2] = 0.0  # repeated poses: degenerate segments
+    poses, x, y, h = [], 0.0, 0.0, 0.0
+    for turn, length in zip(turns, lengths):
+        h += turn
+        x, y = x + length * np.cos(h), y + length * np.sin(h)
+        poses.append(Pose2(x, y, h))
+    band = np.full((n, window, 3), np.nan)
+    band[:, 0, :] = 0.0
+    for i in range(n):
+        for k in range(1, min(window, n - i)):
+            band[i, k] = relative(poses[i], poses[i + k]).as_array()
+    m = TopometricMap(rng.normal(size=(n, 4)).astype(np.float32), band, 2.0)
+    steps = []
+    for _ in range(n_steps):
+        mean = Pose2(
+            rng.normal(1.5, 1.0), rng.normal(0.0, 0.5),
+            rng.choice([-np.pi, np.pi]) + rng.normal(scale=0.05),
+        )
+        a = rng.normal(scale=0.3, size=(3, 3))
+        cov = a @ a.T + 0.01 * np.eye(3)
+        steps.append(OdometryStep(mean, Covariance3(0.5 * (cov + cov.T))))
+    means = np.array([odom.mean.as_array() for odom in steps])
+    covs = np.array([odom.cov.matrix for odom in steps])
+    return m, means, covs, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(problem=banded_problems(), mode=st.sampled_from(MOTION_MODES))
+def test_stacked_builder_equals_one_step_builds(problem, mode):
+    m, means, covs, steps = problem
+    params = MotionParams(mode=mode)
+    stack = build_transitions(m, means, covs, params)
+    assert len(stack) == len(steps)
+    for s, odom in enumerate(steps):
+        one = build_transition_model(m, odom, params)
+        assert np.array_equal(stack.within_probs[s], one.within_probs)
+        assert np.array_equal(stack.to_off[s], one.to_off)
+        assert stack[s].off_self == one.off_self
+        assert np.array_equal(stack[s].valid, one.valid)
+        assert abs(stack[s].off_self + stack[s].off_out * m.n_nodes - 1.0) < 1e-9
+    rows = stack.within_probs.sum(axis=1) + stack.to_off
+    assert np.abs(rows - 1.0).max() < 1e-9
+
+
+def test_stack_checks_every_step():
+    m = line_map()
+    good = build_transitions(
+        m, np.array([[2.0, 0.0, 0.0]] * 3), np.stack([np.eye(3) * 0.01] * 3), MotionParams()
+    )
+    within = good.within_probs.copy()
+    within[2, 1, 4] += 1e-6  # node 4 of the last step no longer sums to one
+    with pytest.raises(ValueError, match="sum to 1"):
+        TransitionStack(within, good.to_off, good.off_self, good.valid)
+    within = good.within_probs.copy()
+    within[1, 0, 0] = 1e-3  # offset 0 exists only for the final node
+    with pytest.raises(ValueError, match="outside the edge set"):
+        TransitionStack(within, good.to_off, good.off_self, good.valid)

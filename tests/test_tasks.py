@@ -1,6 +1,7 @@
 """The two end-to-end harnesses: loop-closure detection and wakeup."""
 
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,34 +139,53 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
 
     built = collections.Counter()
     measured = collections.Counter()
-    build = tasks_mod.build_transition_model
+    build = tasks_mod.build_transitions
     measure = tasks_mod.descriptor_distances
 
-    def counting_build(map_, odom, params):
-        built[id(odom)] += 1
-        return build(map_, odom, params)
+    def row_of(view, column):
+        # which row of the column a view starts at, by its address
+        offset = view.__array_interface__["data"][0] - column.__array_interface__["data"][0]
+        assert offset % column.strides[0] == 0 and np.shares_memory(view, column)
+        return offset // column.strides[0]
 
-    rows = _query.descriptors
-    row_bytes = rows.strides[0]
+    def counting_build(map_, odom_means, odom_covs, params):
+        first = row_of(odom_means, _query.odom_means)
+        assert row_of(odom_covs, _query.odom_covs) == first
+        for row in range(first, first + len(odom_means)):
+            built[row + 1] += 1  # odometry row t - 1 is the step into frame t
+        return build(map_, odom_means, odom_covs, params)
 
     def counting_measure(z, map_):
-        # which frame's descriptor row this is, by its address in the column
-        offset = z.__array_interface__["data"][0] - rows.__array_interface__["data"][0]
-        assert offset % row_bytes == 0 and np.shares_memory(z, rows)
-        measured[offset // row_bytes] += 1
+        measured[row_of(z, _query.descriptors)] += 1
         return measure(z, map_)
 
-    monkeypatch.setattr(tasks_mod, "build_transition_model", counting_build)
+    monkeypatch.setattr(tasks_mod, "build_transitions", counting_build)
     monkeypatch.setattr(tasks_mod, "descriptor_distances", counting_measure)
-    batch = run_wakeup_batch(_map, _query, 120, 7, 6, _params)
+    max_steps = 6
+    batch = run_wakeup_batch(_map, _query, 120, 7, max_steps, _params)
     stepped = [
         t for r in batch for t in range(r.start + 1, r.start + r.steps_used + 1)
     ]
-    assert set(built) == {id(_query.frames[t].odom) for t in stepped}
+    budgets = {
+        t for r in batch for t in range(r.start + 1, r.start + max_steps + 1)
+    }
+    assert set(stepped) <= set(built) <= budgets
     assert max(built.values()) == 1
     seen = stepped + [r.start for r in batch]
     assert set(measured) == set(seen)
     assert max(measured.values()) == 1
+
+
+def test_inference_reads_the_columns_not_the_frame_view(monkeypatch):
+    def no_view(self):
+        raise AssertionError("Traverse.frames was read")
+
+    monkeypatch.setattr(Traverse, "frames", property(no_view))
+    with pytest.raises(AssertionError):
+        _query.frames
+    assert len(run_lcd(_map, _query, _params).frames) == len(_query)
+    assert len(run_lcd(_map, _query, replace(_params, forward_only=True)).frames) == len(_query)
+    assert len(run_wakeup_batch(_map, _query, 30, 3, 8, _params)) == 30
 
 
 def test_wakeup_batch_starts_cover_route():
@@ -186,15 +206,12 @@ def test_detour_pushes_mass_off_map():
     res = run_lcd(m, query, PipelineParams())
     from topoloc.filtering import smooth_pass, run_forward, init_belief
     from topoloc.measurement import likelihood_vector
-    from topoloc.motion import build_transition_model
-    from dataclasses import replace
+    from topoloc.motion import build_transitions
 
     mp = replace(MeasurementParams(), lam=res.lam)
-    gs = [likelihood_vector(f.descriptor, m, mp) for f in query.frames]
-    models = [
-        build_transition_model(m, f.odom, MotionParams()) for f in query.frames[1:]
-    ]
-    smoothed = smooth_pass(run_forward(init_belief(m.n_nodes, 0.1), models, gs))
+    gs = likelihood_vector(query.descriptors, m, mp)
+    transitions = build_transitions(m, query.odom_means, query.odom_covs, MotionParams())
+    smoothed = smooth_pass(run_forward(init_belief(m.n_nodes, 0.1), transitions, gs))
     # skip boundary frames: entering and leaving a detour takes a few steps
     core = [
         t
@@ -204,7 +221,7 @@ def test_detour_pushes_mass_off_map():
         and not labels.within_map[t + 2]
     ]
     assert len(core) > 100
-    off_mass = np.array([smoothed[t].off for t in core])
+    off_mass = smoothed[core, -1]
     assert off_mass.min() > 0.5
 
 
@@ -215,28 +232,23 @@ def test_no_off_with_zero_prior_matches_forced_gate(monkeypatch):
     import topoloc.motion as motion_mod
     from topoloc.filtering import run_forward, init_belief
     from topoloc.measurement import calibrate_lambda, likelihood_vector
-    from topoloc.motion import build_transition_model
-    from dataclasses import replace
+    from topoloc.motion import build_transitions
 
     spec = builtin_scenarios()["S1"]
     world, ref, query = simulate_scenario(spec, 1)
     m = build_map(ref, 2.0, 5)
-    sub = query.frames[:40]
-    lam = calibrate_lambda(sub[0].descriptor, m, 2.718281828459045)
+    lam = calibrate_lambda(query.descriptors[0], m, 2.718281828459045)
     mp = replace(MeasurementParams(), lam=lam)
-    gs = [likelihood_vector(f.descriptor, m, mp) for f in sub]
+    gs = likelihood_vector(query.descriptors[:40], m, mp)
+    means, covs = query.odom_means[:39], query.odom_covs[:39]
 
-    ablated = [
-        build_transition_model(m, f.odom, MotionParams(mode="no_off")) for f in sub[1:]
-    ]
+    ablated = build_transitions(m, means, covs, MotionParams(mode="no_off"))
     monkeypatch.setattr(
         motion_mod,
         "chi2_cdf_3",
         lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
-    forced = [
-        build_transition_model(m, f.odom, MotionParams()) for f in sub[1:]
-    ]
+    forced = build_transitions(m, means, covs, MotionParams())
     ta = run_forward(init_belief(m.n_nodes, 0.0), ablated, gs)
     tf = run_forward(init_belief(m.n_nodes, 0.0), forced, gs)
     for a, b in zip(ta.alphas, tf.alphas):

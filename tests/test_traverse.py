@@ -47,24 +47,24 @@ def test_frames_agree_exactly_with_columns(s2_small):
 
 
 def test_view_steps_build_the_models_run_lcd_builds(s2_small, monkeypatch):
+    # run_lcd reads the columns; each view step builds the same model from them
     map_, query = s2_small
     params = PipelineParams()
     built = []
-    build = tasks_mod.build_transition_model
+    build = tasks_mod.build_transitions
 
-    def recording_build(m, odom, p):
-        model = build(m, odom, p)
-        built.append((odom, model))
-        return model
+    def recording_build(m, means, covs, p):
+        built.append(build(m, means, covs, p))
+        return built[-1]
 
-    monkeypatch.setattr(tasks_mod, "build_transition_model", recording_build)
+    monkeypatch.setattr(tasks_mod, "build_transitions", recording_build)
     run_lcd(map_, query, params)
-    assert len(built) == len(query) - 1
-    for t, (odom, model) in enumerate(built, 1):
-        assert odom is query.frames[t].odom
+    (stack,) = built
+    assert len(stack) == len(query) - 1
+    for t in range(1, len(query)):
         again = build_transition_model(map_, query.frames[t].odom, params.motion)
-        assert np.array_equal(again.within_probs, model.within_probs)
-        assert np.array_equal(again.to_off, model.to_off)
+        assert np.array_equal(again.within_probs, stack.within_probs[t - 1])
+        assert np.array_equal(again.to_off, stack.to_off[t - 1])
 
 
 def test_one_frame_and_ground_truth_free_traverses_construct():
