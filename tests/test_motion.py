@@ -352,7 +352,7 @@ def banded_problems(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(problem=banded_problems(), mode=st.sampled_from(MOTION_MODES))
-def test_stacked_builder_equals_one_step_builds(problem, mode):
+def test_stacked_models_equal_one_step_models(problem, mode):
     m, means, covs, steps = problem
     params = MotionParams(mode=mode)
     stack = build_transitions(m, means, covs, params)
