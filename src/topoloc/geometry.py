@@ -227,10 +227,7 @@ def min_mahalanobis_on_directed_segments(
     if mu.shape[-1:] != (3,) or mu.ndim > 2 or prec.shape != mu.shape[:-1] + (3, 3):
         raise ValueError("mu must be (3,) or (S, 3), with precisions to match")
 
-    # row by row: numpy broadcasts a (S, 3, 1) operand several times slower
-    r = np.empty(mu.shape[:-1] + lo.shape)
-    for i in range(3):
-        np.subtract(mu[..., i, None], lo[i], out=r[..., i, :])
+    r = mu[..., :, None] - lo
     r[..., 2, :] = wrap_angle(r[..., 2, :])
     pu = prec @ u
     denom = np.einsum("...ik,...ik->...k", pu, u)
@@ -238,8 +235,7 @@ def min_mahalanobis_on_directed_segments(
     s = num / np.where(degenerate, 1.0, denom)
     np.clip(s, 0.0, 1.0, out=s)
     s[..., degenerate] = 0.0
-    for i in range(3):
-        r[..., i, :] -= s * u[i]
+    r -= s[..., None, :] * u
     d2 = np.einsum("...ik,...ik->...k", prec @ r, r)
     return np.maximum(d2, 0.0, out=d2), s
 

@@ -52,13 +52,6 @@ __all__ = [
 ]
 
 
-# Steps whose transition models a wakeup trial builds per call once it
-# reaches an unbuilt frame: the stacked kernel's cost per step falls with the
-# stack (S2: about 350 us alone, 210 us in eights), and a trial that
-# converges early wastes at most seven.
-_MODELS_AHEAD = 8
-
-
 @dataclass(frozen=True)
 class PipelineParams:
     """Everything inference needs beyond the map and the query."""
@@ -179,10 +172,8 @@ def _wakeup_trial(
 
     ``models`` and ``dists`` map a frame index to its transition model and
     descriptor distances; a missing frame is computed and added, from the
-    traverse's columns.  A missing model is built with those of up to
-    ``_MODELS_AHEAD - 1`` following frames within the trial's budget, which
-    changes no model's value.  Only the kernel rate is the trial's own: it
-    is calibrated on its start frame.
+    traverse's columns.  Only the kernel rate is the trial's own: it is
+    calibrated on its start frame.
     """
     if query.descriptor_dim != map_.descriptor_dim:
         raise DataError("descriptor dimension mismatch between query and map")
@@ -211,11 +202,9 @@ def _wakeup_trial(
     step_lengths = translation_norms(query.odom_means[start:last]).tolist()
     for t in range(start + 1, last + 1):
         if t not in models:
-            rows = slice(t - 1, min(t - 1 + _MODELS_AHEAD, last))
-            stack = build_transitions(
-                map_, query.odom_means[rows], query.odom_covs[rows], params.motion
-            )
-            models.update((t + s, stack[s]) for s in range(len(stack)))
+            models[t] = build_transitions(
+                map_, query.odom_means[t - 1 : t], query.odom_covs[t - 1 : t], params.motion
+            )[0]
         g = likelihoods_from_distances(distances(t), meas)
         alpha, _ = forward_step(alpha, models[t], g)
         steps_used = t - start
@@ -254,10 +243,9 @@ def run_wakeup_batch(
     The trials run in ascending order of start frame (ties in trial order)
     and share each covered frame's transition model and descriptor
     distances; a trial only turns distances into likelihoods at its own
-    kernel rate.  Both are computed when a trial first needs them (models a
-    few frames ahead, within that trial's budget) and dropped when a trial
-    starts after their frame, so each is computed at most once per batch
-    and at most ``max_steps + 1`` frames are held.
+    kernel rate.  Both are computed when a trial first needs them and
+    dropped when a trial starts after their frame, so each is computed at
+    most once per batch and at most ``max_steps + 1`` frames are held.
     Results are returned in trial order.
     """
     if n_trials < 1:

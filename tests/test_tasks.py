@@ -161,15 +161,11 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
 
     monkeypatch.setattr(tasks_mod, "build_transitions", counting_build)
     monkeypatch.setattr(tasks_mod, "descriptor_distances", counting_measure)
-    max_steps = 6
-    batch = run_wakeup_batch(_map, _query, 120, 7, max_steps, _params)
+    batch = run_wakeup_batch(_map, _query, 120, 7, 6, _params)
     stepped = [
         t for r in batch for t in range(r.start + 1, r.start + r.steps_used + 1)
     ]
-    budgets = {
-        t for r in batch for t in range(r.start + 1, r.start + max_steps + 1)
-    }
-    assert set(stepped) <= set(built) <= budgets
+    assert set(built) == set(stepped)
     assert max(built.values()) == 1
     seen = stepped + [r.start for r in batch]
     assert set(measured) == set(seen)
