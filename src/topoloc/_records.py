@@ -74,16 +74,15 @@ _SCALARS = {
 }
 
 
-def _items(v, codecs, n: int | None) -> tuple:
+def _items(v, reads, n: int | None) -> tuple:
     if type(v) is not list or (n is not None and len(v) != n):
         _fail("an array" if n is None else f"an array of {n}", v)
     out = []
-    each = codecs * len(v) if n is None else codecs
-    for i, (x, (read, _)) in enumerate(zip(v, each)):
-        try:
+    try:
+        for read, x in zip(reads * len(v) if n is None else reads, v):
             out.append(read(x))
-        except _Invalid as exc:
-            raise exc.at(f"[{i}]") from None
+    except _Invalid as exc:
+        raise exc.at(f"[{len(out)}]") from None
     return tuple(out)
 
 
@@ -108,8 +107,9 @@ def _codec(hint):
     if typing.get_origin(hint) is tuple:
         codecs = [_codec(a) for a in args if a is not Ellipsis]
         n = None if args[-1] is Ellipsis else len(args)
+        reads = [read for read, _ in codecs]
         return (
-            lambda v: _items(v, codecs, n),
+            lambda v: _items(v, reads, n),
             lambda v: [
                 x if w is None else w(x)
                 for x, (_, w) in zip(v, codecs * len(v) if n is None else codecs)
@@ -154,25 +154,16 @@ def _build(cls, data):
         raise _Invalid(str(exc)) from None
 
 
-def read_record(hint, data, error: type[ValueError], where: str = ""):
-    """Build record ``hint`` from a parsed JSON value, or cast it by annotation.
+def read_record(cls, data, error: type[ValueError], where: str = ""):
+    """Build record ``cls`` from a parsed JSON value.
 
-    ``hint`` is a record class or any annotation a record field may carry,
-    such as ``tuple[float, float, float]``.  Any breach of the rule, or a
-    ``ValueError`` from a record's own validation, raises ``error`` naming
-    ``where`` and the path to the field.
+    Any breach of the rule, or a ``ValueError`` from the record's own
+    validation, raises ``error`` naming ``where`` and the path to the field.
     """
     try:
-        return _reader(hint)(data)
+        return _build(cls, data)
     except _Invalid as exc:
-        if exc.path[:1] == "[":  # an item of the value ``where`` names
-            where, exc.path = where + exc.path, ""
         raise error(": ".join(filter(None, (where, exc.path, str(exc))))) from None
-
-
-@functools.cache
-def _reader(hint):
-    return _codec(hint)[0]
 
 
 def record_dict(record) -> dict:

@@ -87,9 +87,10 @@ def label_ground_truth(
 class PrCurve:
     """A precision-recall sweep with raw counts per operating point.
 
-    Thresholds are strictly increasing; a point's proposals are the items
-    whose score strictly exceeds its threshold.  Empty-proposal points take
-    precision 1.0 and recall 0.0 by convention.
+    Thresholds are finite and strictly increasing, and precision and recall
+    are finite; a point's proposals are the items whose score strictly
+    exceeds its threshold.  Empty-proposal points take precision 1.0 and
+    recall 0.0 by convention.
     """
 
     thresholds: np.ndarray
@@ -105,7 +106,10 @@ class PrCurve:
         for name in ("precision", "recall", "tp", "fp", "fn", "tn"):
             if getattr(self, name).size != k:
                 raise ValueError(f"{name} length mismatch")
-        if k > 1 and np.any(np.diff(self.thresholds) <= 0.0):
+        for name in ("thresholds", "precision", "recall"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        if not np.all(np.diff(self.thresholds) > 0.0):
             raise ValueError("thresholds must be strictly increasing")
         totals = self.tp + self.fp + self.fn + self.tn
         if k and np.any(totals != totals[0]):
@@ -158,29 +162,16 @@ def _sweep(taus, can_propose, correct, gt_within) -> PrCurve:
     )
 
 
-def _check_tols(labels: GroundTruthLabel, tol_m, tol_deg):
-    if tol_m is not None and float(tol_m) != labels.tol_m:
-        raise DataError("tol_m disagrees with the labels; relabel first")
-    if tol_deg is not None and float(tol_deg) != labels.tol_deg:
-        raise DataError("tol_deg disagrees with the labels; relabel first")
-
-
-def score_lcd(
-    result: LcdResult,
-    labels: GroundTruthLabel,
-    tol_m: float | None = None,
-    tol_deg: float | None = None,
-) -> PrCurve:
+def score_lcd(result: LcdResult, labels: GroundTruthLabel) -> PrCurve:
     """PR curve for a loop-closure run, sweeping over all observed tau values.
 
     At each threshold a frame proposes its recorded mode node iff its tau
     strictly exceeds the threshold; a proposal is correct iff the node is
     acceptable for the frame under the label tolerances.
     """
-    _check_tols(labels, tol_m, tol_deg)
     if len(result.frames) != len(labels):
         raise DataError("result and labels disagree on the frame count")
-    taus = np.array([f.tau for f in result.frames])
+    taus = result.taus()
     correct = np.array(
         [f.proposal in labels.ok_nodes[t] for t, f in enumerate(result.frames)]
     )
@@ -211,12 +202,7 @@ class WakeupScore:
         return float(self._distances[mask].mean())
 
 
-def score_wakeup(
-    results: list[WakeupResult],
-    labels: GroundTruthLabel,
-    tol_m: float | None = None,
-    tol_deg: float | None = None,
-) -> WakeupScore:
+def score_wakeup(results: list[WakeupResult], labels: GroundTruthLabel) -> WakeupScore:
     """Score wakeup trials: converged-and-correct is a true positive.
 
     A trial that never converged counts against recall when its decision
@@ -224,7 +210,6 @@ def score_wakeup(
     when it is off-map.  The sweep re-thresholds the recorded tau of
     converged trials; unconverged trials never propose.
     """
-    _check_tols(labels, tol_m, tol_deg)
     n_frames = len(labels)
     taus = np.empty(len(results))
     can = np.empty(len(results), dtype=bool)

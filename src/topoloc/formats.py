@@ -9,9 +9,8 @@ Traverse (``.jsonl`` plus sidecar ``.desc.bin``)
     One JSON object per frame with keys ``t``, ``gt_pose`` (``[x, y, theta]``
     or null) and ``odom`` (null on the first frame, else ``{"mean": [dx, dy,
     dtheta], "cov": [xx, xy, xt, yy, yt, tt]}``).  Descriptor row ``t`` of
-    the sidecar belongs to frame ``t``.  The rows are read straight into the
-    columns of one :class:`Traverse` and written from them; no per-frame
-    object is built either way.
+    the sidecar belongs to frame ``t``.  The rows are written straight from
+    the columns of one :class:`Traverse` and read back as records into them.
 Map (``.json`` plus sidecar ``.desc.bin``)
     Single JSON document; the relative-pose band is stored as rows
     ``[i, j, dx, dy, dtheta]`` for every edge ``i -> j`` the band covers.
@@ -20,21 +19,23 @@ Results, labels (``.jsonl``)
     are exactly the result dataclass fields.
 Precision-recall curve (``.csv``)
     Header ``threshold,precision,recall,tp,fp,fn,tn`` and one row per
-    operating point.
+    operating point; each field is a JSON number.
 
 Writers are deterministic: fixed key order, compact separators, and
 shortest-roundtrip float text, so identical inputs produce identical bytes.
-Readers validate strictly and raise ``DataError`` on any malformed input;
-every JSON value, traverse rows and band rows included, is cast by the
-record rule of ``_records`` (a number must be a JSON number, not a string
-or a boolean).
+Readers validate strictly and raise ``DataError`` on any malformed input,
+or on an input path that cannot be read, such as a directory.  Every row of
+every file (traverse frames, band rows and PR-curve rows included) is a
+declared record, cast by the rule of ``_records``: a number must be a JSON
+number, not a string or a boolean, a float must be finite and a count
+integral.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, make_dataclass
+from dataclasses import astuple, dataclass, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -77,8 +78,8 @@ _VERSION = 1
 def _read_bytes(path) -> bytes:
     try:
         return Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise DataError(f"file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, or not ours to read
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
 def _read_text(path) -> str:
@@ -117,9 +118,19 @@ def _parse_jsonl(path) -> list:
     return records
 
 
-def _require_keys(rec, keys: set, where: str) -> None:
-    if not isinstance(rec, dict) or rec.keys() != keys:
-        raise DataError(f"{where}: expected a JSON object with keys {sorted(keys)}")
+def _read_rows(records, row_cls, where: str) -> list:
+    """One ``row_cls`` per parsed line, named ``where`` and its index.
+
+    Rows with a ``t`` field must hold ``0, 1, 2, ...`` in order.
+    """
+    rows = [
+        read_record(row_cls, rec, DataError, f"{where} {i}")
+        for i, rec in enumerate(records)
+    ]
+    for i, row in enumerate(rows):
+        if getattr(row, "t", i) != i:
+            raise DataError(f"{where} {i}: out-of-order t={row.t}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +185,15 @@ def descriptor_sidecar(path) -> Path:
 
 
 _POSE = tuple[float, float, float]
-_UPPER = tuple[float, float, float, float, float, float]
 # a frame record lists covariance entries xx, xy, xt, yy, yt, tt
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(3)
 _FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3x3 matrix, row major, from those six
+_Odom = make_dataclass(
+    "_Odom", [("mean", _POSE), ("cov", tuple[float, float, float, float, float, float])]
+)
+_FrameRow = make_dataclass(
+    "_FrameRow", [("t", int), ("gt_pose", _POSE | None), ("odom", _Odom | None)]
+)
 
 
 def write_traverse(path, traverse: Traverse) -> None:
@@ -206,26 +222,17 @@ def read_traverse(path) -> Traverse:
             f"{p}: {len(records)} frames but descriptor file has "
             f"{matrix.shape[0]} rows"
         )
-    gts, means, uppers = [], [], []
-    for t, rec in enumerate(records):
-        where = f"{p} frame {t}"
-        _require_keys(rec, {"t", "gt_pose", "odom"}, where)
-        if read_record(int, rec["t"], DataError, f"{where}: t") != t:
-            raise DataError(f"{where}: out-of-order t={rec['t']}")
-        if rec["gt_pose"] is not None:
-            gts.append(read_record(_POSE, rec["gt_pose"], DataError, f"{where}: gt_pose"))
-        odom = rec["odom"]
-        if t == 0:
-            if odom is not None:
-                raise DataError(f"{where}: the first frame must not carry odometry")
-            continue
-        _require_keys(odom, {"mean", "cov"}, f"{where}: odom")
-        means.append(read_record(_POSE, odom["mean"], DataError, f"{where}: odom.mean"))
-        uppers.append(read_record(_UPPER, odom["cov"], DataError, f"{where}: odom.cov"))
-    if len(gts) not in (0, len(records)):
+    rows = _read_rows(records, _FrameRow, f"{p} frame")
+    if rows and rows[0].odom is not None:
+        raise DataError(f"{p} frame 0: the first frame must not carry odometry")
+    odoms = [row.odom for row in rows[1:]]
+    if None in odoms:
+        raise DataError(f"{p} frame {odoms.index(None) + 1}: odom: must not be null")
+    gts = [row.gt_pose for row in rows if row.gt_pose is not None]
+    if len(gts) not in (0, len(rows)):
         raise DataError(f"{p}: ground truth must be present on all frames or none")
-    covs = np.array(uppers).reshape(-1, 6)[:, _FULL].reshape(-1, 3, 3)
-    means = np.array(means).reshape(-1, 3)
+    means = np.array([o.mean for o in odoms]).reshape(-1, 3)
+    covs = np.array([o.cov for o in odoms]).reshape(-1, 6)[:, _FULL].reshape(-1, 3, 3)
     try:
         return Traverse(matrix, means, covs, np.array(gts) if gts else None)
     except DataError as exc:
@@ -343,14 +350,7 @@ def _read_records(path, kind: str, header_cls, row_cls, count: str):
     header = read_record(header_cls, head, DataError, f"{path} header")
     if len(records) - 1 != getattr(header, count):
         raise DataError(f"{path}: record count does not match header {count}")
-    rows = [
-        read_record(row_cls, rec, DataError, f"{path} record {i}")
-        for i, rec in enumerate(records[1:])
-    ]
-    for i, row in enumerate(rows):
-        if getattr(row, "t", i) != i:
-            raise DataError(f"{path} record {i}: out-of-order t={row.t}")
-    return header, rows
+    return header, _read_rows(records[1:], row_cls, f"{path} record")
 
 
 def write_lcd_result(path, result: LcdResult) -> None:
@@ -393,57 +393,46 @@ def read_labels(path) -> GroundTruthLabel:
 # precision-recall curves
 
 
-_PR_HEADER = "threshold,precision,recall,tp,fp,fn,tn"
+# one row per operating point; the columns are the ``PrCurve`` fields, in order
+_CurveRow = make_dataclass(
+    "_CurveRow",
+    [("threshold", float), ("precision", float), ("recall", float)]
+    + [(name, int) for name in ("tp", "fp", "fn", "tn")],
+)
+_PR_FIELDS = fields(_CurveRow)
+_PR_HEADER = ",".join(f.name for f in _PR_FIELDS)
 
 
 def write_pr_curve(path, curve: PrCurve) -> None:
-    lines = [_PR_HEADER]
-    for i in range(curve.thresholds.size):
-        lines.append(
-            ",".join(
-                [
-                    repr(float(curve.thresholds[i])),
-                    repr(float(curve.precision[i])),
-                    repr(float(curve.recall[i])),
-                    str(int(curve.tp[i])),
-                    str(int(curve.fp[i])),
-                    str(int(curve.fn[i])),
-                    str(int(curve.tn[i])),
-                ]
-            )
-        )
+    cols = [
+        np.asarray(getattr(curve, c.name), dtype=f.type).tolist()
+        for c, f in zip(fields(curve), _PR_FIELDS)
+    ]
+    lines = [_PR_HEADER, *(",".join(map(repr, row)) for row in zip(*cols))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_pr_curve(path) -> PrCurve:
+    """Read a curve; each field must be a JSON number its column's type accepts."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0] != _PR_HEADER:
         raise DataError(f"{path}: expected header {_PR_HEADER!r}")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if not rows:
-        raise DataError(f"{path}: curve has no operating points")
-    cols = []
-    for ln_no, ln in enumerate(rows, 2):
+    rows = []
+    for ln_no, ln in enumerate(lines[1:], 2):
+        if not ln.strip():
+            continue
         parts = ln.split(",")
-        if len(parts) != 7:
+        if len(parts) != len(_PR_FIELDS):
             raise DataError(f"{path}:{ln_no}: expected 7 comma-separated fields")
         try:
-            cols.append(
-                [float(parts[0]), float(parts[1]), float(parts[2])]
-                + [int(v) for v in parts[3:]]
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}:{ln_no}: {exc}") from exc
-    arr = np.array(cols)
+            rec = {f.name: json.loads(v) for f, v in zip(_PR_FIELDS, parts)}
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{ln_no}: not a JSON number: {exc}") from exc
+        rows.append(read_record(_CurveRow, rec, DataError, f"{path}:{ln_no}"))
+    if not rows:
+        raise DataError(f"{path}: curve has no operating points")
+    cols = zip(*(astuple(row) for row in rows))
     try:
-        return PrCurve(
-            thresholds=arr[:, 0],
-            precision=arr[:, 1],
-            recall=arr[:, 2],
-            tp=arr[:, 3].astype(int),
-            fp=arr[:, 4].astype(int),
-            fn=arr[:, 5].astype(int),
-            tn=arr[:, 6].astype(int),
-        )
-    except (ValueError, DataError) as exc:
+        return PrCurve(*(np.array(c, dtype=f.type) for c, f in zip(cols, _PR_FIELDS)))
+    except ValueError as exc:
         raise DataError(f"{path}: inconsistent curve: {exc}") from exc

@@ -60,6 +60,22 @@ def test_missing_input_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("command", ["lcd", "eval", "simulate"])
+def test_directory_as_input_file_exits_cleanly(tmp_path, smoke_dir, capsys, command):
+    data = smoke_dir / "data"
+    inputs = ["--map", str(data / "map.json"), "--query", str(data / "query.jsonl")]
+    argv, code, kind = {
+        "lcd": (["lcd", "--map", str(tmp_path), *inputs[2:],
+                 "--out", str(tmp_path / "r.jsonl")], 3, "data"),
+        "eval": (["eval", "--task", "lcd", "--results", str(tmp_path), *inputs,
+                  "--out-curve", str(tmp_path / "pr.csv")], 3, "data"),
+        "simulate": (["simulate", "--scenario", str(tmp_path),
+                      "--out", str(tmp_path / "sim")], 2, "config"),
+    }[command]
+    assert main(argv) == code
+    assert str(tmp_path) in _one_error_line(capsys, kind)
+
+
 def test_degenerate_likelihood_exits_4(tmp_path):
     # orthogonal descriptors and a huge decay rate underflow every node's
     # likelihood to zero on the first frame

@@ -161,14 +161,10 @@ def test_recall_zero_when_only_the_empty_point_qualifies():
     assert recall_at_precision(curve, 0.99) == 0.0
 
 
-def test_score_lcd_validates_lengths_and_tolerance_echo():
+def test_score_lcd_validates_lengths():
     labels = _handmade_labels()
     res = _handmade_result()
-    with pytest.raises(DataError):
-        score_lcd(res, labels, tol_m=4.0)
-    with pytest.raises(DataError):
-        score_lcd(res, labels, tol_deg=10.0)
-    assert score_lcd(res, labels, tol_m=5.0, tol_deg=30.0).n_items == 4
+    assert score_lcd(res, labels).n_items == 4
     short = LcdResult(frames=res.frames[:3], lam=1.0)
     with pytest.raises(DataError):
         score_lcd(short, labels)
@@ -240,3 +236,28 @@ def test_pr_curve_validation():
             fn=np.array([0, 0]),
             tn=np.array([0, 0]),
         )
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [
+        ("thresholds", [-1.0, float("nan")]),
+        ("thresholds", [float("nan"), 0.5]),
+        ("precision", [1.0, float("nan")]),
+        ("recall", [0.0, float("inf")]),
+    ],
+)
+def test_pr_curve_rejects_non_finite_points(name, bad):
+    cols = dict(
+        thresholds=np.array([-1.0, 0.5]),
+        precision=np.ones(2),
+        recall=np.zeros(2),
+        tp=np.zeros(2, dtype=int),
+        fp=np.zeros(2, dtype=int),
+        fn=np.ones(2, dtype=int),
+        tn=np.zeros(2, dtype=int),
+    )
+    PrCurve(**cols)  # the unchanged columns make a valid curve
+    cols[name] = np.array(bad)
+    with pytest.raises(ValueError, match=name):
+        PrCurve(**cols)

@@ -1,7 +1,11 @@
 """Round-trips and strict-reader behavior for every on-disk format."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from topoloc.errors import DataError
 from topoloc.evaluate import label_ground_truth, score_lcd
@@ -163,6 +167,47 @@ def test_traverse_reader_is_strict(tmp_path):
         read_traverse(tmp_path / "cov.jsonl")
 
 
+def _rewrite_frames(tmp_path, name, edit):
+    """A copy of a written traverse whose frame records went through ``edit``."""
+    src = tmp_path / "src.jsonl"
+    write_traverse(src, _small_traverse())
+    recs = [json.loads(ln) for ln in src.read_text().splitlines()]
+    edit(recs)
+    p = tmp_path / f"{name}.jsonl"
+    p.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
+    descriptor_sidecar(p).write_bytes(descriptor_sidecar(src).read_bytes())
+    return p
+
+
+def _odom_on_first(recs):
+    recs[0]["odom"] = recs[1]["odom"]
+
+
+def _null_odom_later(recs):
+    recs[3]["odom"] = None
+
+
+def _partial_gt(recs):
+    recs[4]["gt_pose"] = None
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_odom_on_first, "frame 0: the first frame must not carry odometry"),
+        (_null_odom_later, "frame 3: odom"),
+        (_partial_gt, "ground truth must be present on all frames or none"),
+    ],
+    ids=["odom-on-frame-0", "null-odom-later", "partial-gt"],
+)
+def test_traverse_row_rules(tmp_path, edit, message):
+    p = _rewrite_frames(tmp_path, "bad", edit)
+    with pytest.raises(DataError) as info:
+        read_traverse(p)
+    assert str(info.value).startswith(str(p))
+    assert message in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # maps
 
@@ -317,7 +362,7 @@ def test_labels_reader_rejects_mistyped_fields(tmp_path):
             read_labels(q)
 
 
-def test_pr_curve_roundtrip_exact(tmp_path):
+def _small_curve():
     m = build_map(_small_traverse(), 2.0, 3)
     q = _small_traverse()
     labels = label_ground_truth(q, m)
@@ -325,15 +370,20 @@ def test_pr_curve_roundtrip_exact(tmp_path):
         frames=[LcdFrame(t, 0, 0.1 + 0.07 * t, 0.5) for t in range(len(q))],
         lam=1.0,
     )
-    curve = score_lcd(res, labels)
+    return score_lcd(res, labels)
+
+
+def _assert_same_curve(back, curve):
+    for name in ("thresholds", "precision", "recall", "tp", "fp", "fn", "tn"):
+        a, b = getattr(curve, name), getattr(back, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+
+
+def test_pr_curve_roundtrip_exact(tmp_path):
+    curve = _small_curve()
     p = tmp_path / "pr.csv"
     write_pr_curve(p, curve)
-    back = read_pr_curve(p)
-    np.testing.assert_array_equal(back.thresholds, curve.thresholds)
-    np.testing.assert_array_equal(back.precision, curve.precision)
-    np.testing.assert_array_equal(back.recall, curve.recall)
-    np.testing.assert_array_equal(back.tp, curve.tp)
-    np.testing.assert_array_equal(back.tn, curve.tn)
+    _assert_same_curve(read_pr_curve(p), curve)
 
 
 def test_pr_curve_reader_is_strict(tmp_path):
@@ -350,6 +400,12 @@ def test_pr_curve_reader_is_strict(tmp_path):
     with pytest.raises(DataError):
         read_pr_curve(p)
 
+    # a NaN threshold, an infinite recall, an underscored count
+    for row in ("nan,1.0,0.0,0,0,1,0", "-1.0,1.0,inf,0,0,1,0", "-1.0,1.0,0.0,0,0,1_0,0"):
+        p.write_text(f"threshold,precision,recall,tp,fp,fn,tn\n{row}\n")
+        with pytest.raises(DataError):
+            read_pr_curve(p)
+
     # counts that do not partition a fixed item set
     p.write_text(
         "threshold,precision,recall,tp,fp,fn,tn\n"
@@ -358,3 +414,39 @@ def test_pr_curve_reader_is_strict(tmp_path):
     )
     with pytest.raises(DataError):
         read_pr_curve(p)
+
+
+@pytest.fixture(scope="module")
+def written_curve(tmp_path_factory):
+    root = tmp_path_factory.mktemp("curve")
+    curve = _small_curve()
+    write_pr_curve(root / "pr.csv", curve)
+    return root, curve
+
+
+# single-field changes, each of which breaks a row of seven JSON numbers
+_CURVE_CHANGES = ["nan", "inf", "NaN", "Infinity", "1e999", "x", "1_0", "", "drop", "extra"]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_pr_curve_reader_rejects_every_single_field_change(written_curve, data):
+    root, curve = written_curve
+    _assert_same_curve(read_pr_curve(root / "pr.csv"), curve)
+    lines = (root / "pr.csv").read_text().splitlines()
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    col = data.draw(st.integers(0, 6), label="column")
+    change = data.draw(st.sampled_from(_CURVE_CHANGES), label="change")
+    fields = lines[row].split(",")
+    if change == "drop":
+        del fields[col]
+    elif change == "extra":
+        fields.insert(col + 1, fields[col])
+    else:
+        fields[col] = change
+    lines[row] = ",".join(fields)
+    mutated = root / "mutated.csv"
+    mutated.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError):
+        read_pr_curve(mutated)
