@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -160,6 +161,9 @@ def _summarize(task: str, results, labels):
 
 
 def _cmd_eval(args) -> int:
+    for flag, tol in (("--tol-m", args.tol_m), ("--tol-deg", args.tol_deg)):
+        if not 0.0 < tol < math.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {tol}")
     map_ = formats.read_map(args.map)
     query = formats.read_traverse(args.query)
     labels = label_ground_truth(query, map_, args.tol_m, args.tol_deg)

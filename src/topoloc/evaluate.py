@@ -62,8 +62,8 @@ def label_ground_truth(
         raise DataError("query traverse carries no ground truth")
     if map_.gt_poses is None:
         raise DataError("map carries no ground-truth node poses")
-    if not (tol_m > 0.0 and tol_deg > 0.0):
-        raise DataError("tolerances must be positive")
+    if not (0.0 < tol_m < math.inf and 0.0 < tol_deg < math.inf):
+        raise DataError("tolerances must be positive and finite")
     gt = query.gt_poses
     nodes = map_.gt_poses
     tol_rad = math.radians(tol_deg)

@@ -362,6 +362,20 @@ def test_bad_bench_arguments_exit_2(capsys, flags):
     _one_error_line(capsys, "config")
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--tol-m", "0"), ("--tol-m", "nan"), ("--tol-m", "inf"), ("--tol-deg", "-5")]
+)
+def test_bad_eval_tolerance_exits_2(tmp_path, smoke_dir, smoke_results, capsys, flag, value):
+    data = smoke_dir / "data"
+    code = main(["eval", "--task", "lcd", "--results", str(smoke_results["lcd"]),
+                 "--map", str(data / "map.json"), "--query", str(data / "query.jsonl"),
+                 "--out-curve", str(tmp_path / "pr.csv"),
+                 "--out-labels", str(tmp_path / "labels.jsonl"), flag, value])
+    assert code == 2
+    assert flag in _one_error_line(capsys, "config")
+    assert not (tmp_path / "labels.jsonl").exists()
+
+
 def test_negative_seed_exits_3(tmp_path, capsys):
     assert main(["simulate", "--scenario", "S0", "--seed", "-1",
                  "--out", str(tmp_path)]) == 3

@@ -90,6 +90,9 @@ def test_labeling_requires_ground_truth():
         label_ground_truth(q, m)
     with pytest.raises(DataError):
         label_ground_truth(_query_with_gt([(0, 0, 0)]), m, tol_m=-1.0)
+    for tols in ({"tol_m": math.inf}, {"tol_deg": math.nan}):
+        with pytest.raises(DataError):
+            label_ground_truth(_query_with_gt([(0, 0, 0)]), m, **tols)
 
 
 def _handmade_labels():

@@ -118,26 +118,35 @@ def test_wakeup_batch_deterministic_and_ordered():
     assert [r.start for r in a] != [r.start for r in c]
 
 
-def test_wakeup_batch_equals_single_trials():
-    # many trials on a short route: overlapping windows and repeated starts
+@pytest.mark.parametrize("mode", ["full", "no_off", "no_odom"])
+def test_wakeup_batch_equals_single_trials(mode):
+    # many trials on a short route: overlapping windows and repeated starts;
+    # no_odom gathers its steps from a broadcast stack, and never reaches
+    # 0.95 here, so it is gated at 0.6 for a mix of outcomes
+    tau_thres = 0.6 if mode == "no_odom" else 0.95
+    params = replace(_params, motion=MotionParams(mode=mode), tau_thres=tau_thres)
     n_trials, max_steps = 120, 6
-    batch = run_wakeup_batch(_map, _query, n_trials, 7, max_steps, _params)
+    batch = run_wakeup_batch(_map, _query, n_trials, 7, max_steps, params)
     starts = [r.start for r in batch]
     assert len(set(starts)) < n_trials
     assert 0 < sum(r.converged for r in batch) < n_trials
     singles = [
-        run_wakeup(_map, _query, s, max_steps, _params, trial=i)
+        run_wakeup(_map, _query, s, max_steps, params, trial=i)
         for i, s in enumerate(starts)
     ]
     assert batch == singles
+    # a budget past the traverse's end runs to the end, even one beyond int64
+    whole = run_wakeup_batch(_map, _query, n_trials, 7, len(_query), params)
+    assert run_wakeup_batch(_map, _query, n_trials, 7, 10**19, params) == whole
+    assert run_wakeup(_map, _query, starts[0], 10**19, params) == whole[0]
 
 
 def test_wakeup_batch_builds_each_frame_once(monkeypatch):
-    # both per-frame products, the transition model and the descriptor
-    # distances, are computed at most once per batch
+    # a batch computes the frames its trials' windows cover once: one
+    # transition build over their steps and one distance call per frame
     import topoloc.tasks as tasks_mod
 
-    built = collections.Counter()
+    builds = []
     measured = collections.Counter()
     build = tasks_mod.build_transitions
     measure = tasks_mod.descriptor_distances
@@ -149,27 +158,37 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
         return offset // column.strides[0]
 
     def counting_build(map_, odom_means, odom_covs, params):
-        first = row_of(odom_means, _query.odom_means)
-        assert row_of(odom_covs, _query.odom_covs) == first
-        for row in range(first, first + len(odom_means)):
-            built[row + 1] += 1  # odometry row t - 1 is the step into frame t
+        builds.append((odom_means, odom_covs))
         return build(map_, odom_means, odom_covs, params)
 
     def counting_measure(z, map_):
+        assert z.ndim == 1
         measured[row_of(z, _query.descriptors)] += 1
         return measure(z, map_)
 
     monkeypatch.setattr(tasks_mod, "build_transitions", counting_build)
     monkeypatch.setattr(tasks_mod, "descriptor_distances", counting_measure)
-    batch = run_wakeup_batch(_map, _query, 120, 7, 6, _params)
-    stepped = [
-        t for r in batch for t in range(r.start + 1, r.start + r.steps_used + 1)
-    ]
-    assert set(built) == set(stepped)
-    assert max(built.values()) == 1
-    seen = stepped + [r.start for r in batch]
-    assert set(measured) == set(seen)
+    max_steps, final = 6, len(_query) - 1
+    batch = run_wakeup_batch(_map, _query, 120, 7, max_steps, _params)
+    covered = sorted(
+        {t for r in batch for t in range(r.start, min(r.start + max_steps, final) + 1)}
+    )
+    # odometry row t - 1 is the step into frame t
+    expected = np.array(covered[1:]) - 1
+    assert len(builds) == 1
+    np.testing.assert_array_equal(builds[0][0], _query.odom_means[expected])
+    np.testing.assert_array_equal(builds[0][1], _query.odom_covs[expected])
+    assert sorted(measured) == covered
     assert max(measured.values()) == 1
+
+    # a trial alone reads start..start + max_steps and nothing beyond
+    builds.clear()
+    measured.clear()
+    run_wakeup(_map, _query, 40, max_steps, _params)
+    assert sorted(measured) == list(range(40, 47))
+    assert len(builds) == 1
+    np.testing.assert_array_equal(builds[0][0], _query.odom_means[40:46])
+    np.testing.assert_array_equal(builds[0][1], _query.odom_covs[40:46])
 
 
 def test_inference_reads_the_columns_not_the_frame_view(monkeypatch):
