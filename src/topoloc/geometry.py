@@ -211,16 +211,16 @@ def min_mahalanobis_on_directed_segments(
 
     Segment ``k`` is ``T(s) = lo_k + s * u_k`` for ``s`` in ``[0, 1]``:
     ``lo`` holds the starts as columns, shape ``(3, K)``, and ``u``,
-    ``degenerate`` are their :func:`segment_directions`, which depend on the
-    segments only and are kept by callers that score many queries.  ``mu``
-    is one pose ``(3,)`` or a stack ``(S, 3)``, and ``prec`` the matching
-    precision matrix ``(3, 3)`` or stack ``(S, 3, 3)``; every pose is scored
-    against every segment, and a pose's result depends on nothing else in
-    the stack.  The angle of ``mu`` is brought to the representative
-    nearest each start.  The minimiser is the closed-form solution of the
-    1-D quadratic, clamped to ``[0, 1]``; degenerate segments score the
-    point distance at ``s = 0``.  Returns the pair ``(d2, s)``, of shape
-    ``(K,)`` or ``(S, K)``.
+    ``degenerate`` are their :func:`segment_directions`.  ``mu`` is one pose
+    ``(3,)`` or a stack ``(S, 3)``, and ``prec`` the matching precision
+    ``(3, 3)`` or ``(S, 3, 3)``; every pose is scored against every segment,
+    and a pose's result depends on nothing else in the stack.  This is the
+    exact residual form: the angle of ``mu`` is brought to the representative
+    nearest each start, which ``motion``'s expanded kernel cannot do, so that
+    kernel rescores here the entries whose heading residual could wrap.  The
+    minimiser solves the 1-D quadratic, clamped to ``[0, 1]``; degenerate
+    segments score the point distance at ``s = 0``.  Returns ``(d2, s)``, of
+    shape ``(K,)`` or ``(S, K)``.
     """
     mu = np.asarray(mu, dtype=float)
     prec = np.asarray(prec, dtype=float)

@@ -144,6 +144,22 @@ class TopometricMap:
             arr.setflags(write=False)
         return starts, u, degenerate, valid
 
+    @cached_property
+    def edge_features(self) -> tuple[np.ndarray, float]:
+        """Map-only rows of ``motion``'s expanded segment kernel, and the largest ``|l_theta|``.
+
+        The ``(29, K+1)`` rows over :attr:`edge_geometry`'s columns, for start ``l``,
+        direction ``u`` (0 where degenerate) and ``(i, j)`` in ``np.triu_indices(3)``:
+        ``u_i u_j``, the degenerate mask, ``u_i``, ``u_i l_j`` (all nine), 1, ``l_i``, ``l_i l_j``.
+        """
+        starts, u, degenerate, _ = self.edge_geometry
+        u = np.where(degenerate, 0.0, u)
+        ii, jj = np.triu_indices(3)
+        uu, ul, ll = u[ii] * u[jj], (u[:, None] * starts).reshape(9, -1), starts[ii] * starts[jj]
+        rows = np.concatenate([uu, degenerate[None], u, ul, np.ones_like(u[:1]), starts, ll])
+        rows.setflags(write=False)
+        return rows, float(np.abs(starts[2]).max())
+
 
 def _mean_pose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rowwise pose midpoint with angle averaging on unwrapped representatives."""

@@ -17,7 +17,12 @@ edges, keeps a self-transition scored against the stay-in-place hypothesis.
 :func:`build_transitions` builds the models of many consecutive steps at
 once, from a traverse's odometry columns, as one checked
 :class:`TransitionStack`; :func:`build_transition_model` is its one-step
-case.
+case.  For segment start ``l``, direction ``u`` and step ``(mu, P)``, ``d2 =
+max(q - s (2 num - s den), 0)`` at ``s = clip(num / den, 0, 1)``, where ``den
+= u'Pu``, ``num = u'P(mu - l)`` and ``q = (mu - l)'P(mu - l)`` expand into
+products of step coefficients with the map's ``edge_features`` rows.  Entries
+with ``|mu_theta - l_theta| >= pi / 2`` (none if ``|mu_theta| + max |l_theta| <
+pi / 2``), where the unwrapped expansion could err, use the exact ``geometry`` kernel.
 
 Modes
 -----
@@ -47,6 +52,7 @@ __all__ = [
 ]
 
 MOTION_MODES = ("full", "no_off", "no_odom")
+_II, _JJ = np.triu_indices(3)  # the symmetric monomials of TopometricMap.edge_features
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,14 +78,12 @@ class MotionParams:
             raise ValueError("no_odom_off must lie in [0, 1)")
 
 
-# Steps scored per pass of the stacked kernel: enough to amortise numpy's
-# per-call overhead, few enough that the (steps, 3, K) temporaries stay in
-# cache.  8 to 32 steps measured best on S2 queries.
+# Steps per scoring and checking pass: temporaries stay in cache; 8-32 measured best on S2.
 _CHUNK = 16
 
 
 def _check_transitions(within_probs, to_off, off_self, valid):
-    """The checks every stack of transition models passes, run once per stack."""
+    """The checks every stack of transition models passes, once, in ``_CHUNK``-step blocks."""
     if within_probs.ndim != 3:
         raise ValueError("within_probs must be (steps, window, N)")
     steps, w, n = within_probs.shape
@@ -89,13 +93,14 @@ def _check_transitions(within_probs, to_off, off_self, valid):
         raise ValueError("shape mismatch between within_probs, to_off, off_self, valid")
     if not np.all((0.0 <= off_self) & (off_self <= 1.0)):
         raise ValueError("off_self must lie in [0, 1]")
-    if np.any((within_probs != 0.0) & ~valid):
-        raise ValueError("probabilities outside the edge set must be zero")
-    if min(within_probs.min(initial=0.0), to_off.min(initial=0.0)) < -1e-12:
-        raise ValueError("negative transition probability")
-    row_sums = within_probs.sum(axis=1) + to_off
-    if np.abs(row_sums - 1.0).max(initial=0.0) > 1e-9:
-        raise ValueError("transition rows must sum to 1 within 1e-9")
+    for lo in range(0, steps, _CHUNK):
+        within, off = within_probs[lo : lo + _CHUNK], to_off[lo : lo + _CHUNK]
+        if np.any((within != 0.0) & ~valid):
+            raise ValueError("probabilities outside the edge set must be zero")
+        if min(within.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
+            raise ValueError("negative transition probability")
+        if np.abs(within.sum(axis=1) + off - 1.0).max(initial=0.0) > 1e-9:
+            raise ValueError("transition rows must sum to 1 within 1e-9")
 
 
 class TransitionStack:
@@ -206,6 +211,30 @@ class TransitionModel:
         return out
 
 
+def _edge_d2(map_: TopometricMap, means: np.ndarray, precs: np.ndarray) -> np.ndarray:
+    """``d2`` of each step against every ``edge_geometry`` column, ``(S, K+1)``."""
+    (starts, u, degenerate, _), (rows, max_heading) = map_.edge_geometry, map_.edge_features
+    sym = precs[:, _II, _JJ] * np.where(_II == _JJ, 1.0, 2.0)
+    pmu = np.einsum("sij,sj->si", precs, means)
+    mpm = np.einsum("si,si->s", pmu, means)[:, None]
+    c = np.concatenate([sym, np.ones_like(mpm), pmu, -precs.reshape(-1, 9), mpm, -2 * pmu, sym], 1)
+    # per-step (1, F) @ (F, K+1) products keep one-step builds bit-equal; a GEMM rounds by row count
+    den, num, d2 = (c[:, None, lo:hi] @ rows[lo:hi] for lo, hi in ((0, 7), (7, 19), (19, 29)))
+    s = num / den
+    np.clip(s, 0.0, 1.0, out=s)
+    num *= 2.0
+    den *= s
+    den -= num
+    den *= s
+    d2 += den  # q - s (2 num - s den), in place: fresh temporaries cost more
+    d2 = np.maximum(d2[:, 0], 0.0, out=d2[:, 0])
+    for t in np.flatnonzero(np.abs(means[:, 2]) + max_heading >= 0.5 * np.pi):
+        k = np.flatnonzero(np.abs(means[t, 2] - starts[2]) >= 0.5 * np.pi)
+        d2[t, k] = min_mahalanobis_on_directed_segments(
+            starts[:, k], u[:, k], degenerate[k], means[t], precs[t])[0]
+    return d2
+
+
 def build_transitions(
     map_: TopometricMap, odom_means: np.ndarray, odom_covs: np.ndarray, params: MotionParams
 ) -> TransitionStack:
@@ -213,18 +242,14 @@ def build_transitions(
 
     ``odom_means`` ``(S, 3)`` and ``odom_covs`` ``(S, 3, 3)`` are steps as a
     :class:`~topoloc.traverse.Traverse` holds them: angles wrapped,
-    covariances checked.  The precisions come from one batched inverse, and
-    the segment kernel scores ``_CHUNK`` steps per pass; step ``s``'s model
-    depends on its own rows only, so any slice of the rows builds the same
-    models bit for bit.  ``no_odom`` ignores both arrays and repeats one
-    model ``S`` times.
-
-    The final node, having no outgoing edges, is scored against the
-    stay-in-place hypothesis (a degenerate segment at the identity pose) and
-    keeps its within-map mass on itself.
+    covariances checked.  The precisions come from one batched inverse; the
+    expanded kernel (module docstring) scores ``_CHUNK`` steps per pass, as one
+    same-shaped product per step, so step ``s``'s model depends on its own
+    rows only and any slice of the rows builds the same models bit for bit.
+    ``no_odom`` ignores both arrays and repeats one model ``S`` times.
     """
     n = map_.n_nodes
-    starts, u, degenerate, valid = map_.edge_geometry
+    valid = map_.edge_geometry[3]
     steps = len(odom_means)
     off_self = np.full(steps, params.off_self)
 
@@ -241,18 +266,17 @@ def build_transitions(
 
     precs = np.linalg.inv(odom_covs)
     precs = 0.5 * (precs + precs.transpose(0, 2, 1))
+    barrier = np.where(valid, 0.0, np.inf)
     within = np.empty((steps,) + valid.shape)
     to_off = np.zeros((steps, n))
     for lo in range(0, steps, _CHUNK):
         part = slice(lo, lo + _CHUNK)
-        d2, _ = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom_means[part], precs[part]
-        )
-        # d2 table by diagonal offset: offset 0 is the final node's stay column
+        d2 = _edge_d2(map_, odom_means[part], precs[part])
+        # d2 table by diagonal offset, +inf off the edge set (offset 0: the stay column)
         table = within[part]
+        table[:, 0] = barrier[0]
         table[:, 0, n - 1] = d2[:, -1]
-        table[:, 1:] = d2[:, :-1].reshape(len(d2), -1, n)
-        table[:, ~valid] = np.inf
+        np.add(d2[:, :-1].reshape(len(d2), -1, n), barrier[1:], out=table[:, 1:])
         min_d2 = table.min(axis=1)
         if params.mode == "full":
             to_off[part] = chi2_cdf_3(min_d2)

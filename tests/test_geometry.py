@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topoloc.errors import DataError
 from topoloc.geometry import (
@@ -49,6 +51,16 @@ def test_wrap_angle_rejects_non_finite():
         wrap_angle(float("inf"))
 
 
+@given(st.floats(-1e3, 1e3))
+def test_wrap_angle_range_idempotence_and_period(x):
+    w = wrap_angle(x)
+    assert -math.pi < w <= math.pi
+    assert wrap_angle(w) == w
+    # x - wrap(x) is a whole number of turns, up to the rounding of x + pi
+    turns = (x - w) / (2 * math.pi)
+    assert abs(turns - round(turns)) * 2 * math.pi <= 1e-12
+
+
 def test_compose_pure_translation_and_rotation():
     a = Pose2(1.0, 0.0, math.pi / 2)
     b = Pose2(2.0, 0.0, 0.0)
@@ -67,6 +79,27 @@ def test_compose_inverse_roundtrip():
         assert abs(ident.dx) < 1e-12
         assert abs(ident.dy) < 1e-12
         assert abs(ident.dtheta) < 1e-12
+
+
+_poses = st.lists(
+    st.tuples(st.floats(-100, 100), st.floats(-100, 100), st.floats(-1e3, 1e3)),
+    min_size=1, max_size=20,
+)
+
+
+@given(_poses, _poses)
+def test_pose_rows_round_trip(a, b):
+    # rounding of translations up to 100 m: a few ulps of 100 per operation
+    n = min(len(a), len(b))
+    a, b = np.array(a[:n]), np.array(b[:n])
+    a[:, 2], b[:, 2] = wrap_angle(a[:, 2]), wrap_angle(b[:, 2])
+    for got, want in (
+        (compose_poses(a, inverse_poses(a)), np.zeros_like(a)),
+        (inverse_poses(inverse_poses(a)), a),
+        (compose_poses(compose_poses(a, b), inverse_poses(b)), a),
+    ):
+        assert np.abs(got[:, :2] - want[:, :2]).max() <= 1e-11
+        assert np.abs(wrap_angle(got[:, 2] - want[:, 2])).max() <= 1e-12
 
 
 def test_compose_associativity():

@@ -12,6 +12,7 @@ from topoloc.geometry import (
     chi2_cdf_3,
     min_mahalanobis_on_directed_segments,
 )
+from topoloc import motion
 from topoloc.mapping import TopometricMap
 from topoloc.motion import (
     MOTION_MODES,
@@ -310,19 +311,21 @@ def test_gate_saturates_when_odometry_contradicts_map():
 
 
 @st.composite
-def banded_problems(draw):
-    """A random small banded map and odometry steps, headings near +-pi.
+def banded_problems(draw, turn=np.pi):
+    """A random small banded map and odometry steps, headings near +-``turn``.
 
-    Node headings turn by about 0 or pi between neighbours, so band angles
-    and segment directions sit near 0 and +-pi; odometry headings sit near
-    +-pi; covariances are correlated and SPD.  Each step comes both as the
-    traverse columns and as the :class:`OdometryStep` holding the same values.
+    Node headings turn by about 0 or ``turn`` between neighbours, so band
+    angles and segment directions sit near 0 and +-``turn``; odometry
+    headings sit near +-``turn``; covariances are correlated and SPD.  With
+    the default ``turn = pi`` every step's heading residual can wrap; with
+    ``turn = 0`` none can.  Each step comes both as the traverse columns and
+    as the :class:`OdometryStep` holding the same values.
     """
     n = draw(st.integers(2, 12))
     window = draw(st.integers(2, 5))
     n_steps = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    turns = np.pi * rng.integers(0, 2, size=n) + rng.normal(scale=0.05, size=n)
+    turns = turn * rng.integers(0, 2, size=n) + rng.normal(scale=0.05, size=n)
     lengths = rng.uniform(0.0, 3.0, size=n)
     lengths[rng.uniform(size=n) < 0.2] = 0.0  # repeated poses: degenerate segments
     poses, x, y, h = [], 0.0, 0.0, 0.0
@@ -340,7 +343,7 @@ def banded_problems(draw):
     for _ in range(n_steps):
         mean = Pose2(
             rng.normal(1.5, 1.0), rng.normal(0.0, 0.5),
-            rng.choice([-np.pi, np.pi]) + rng.normal(scale=0.05),
+            rng.choice([-turn, turn]) + rng.normal(scale=0.05),
         )
         a = rng.normal(scale=0.3, size=(3, 3))
         cov = a @ a.T + 0.01 * np.eye(3)
@@ -381,3 +384,113 @@ def test_stack_checks_every_step():
     within[1, 0, 0] = 1e-3  # offset 0 exists only for the final node
     with pytest.raises(ValueError, match="outside the edge set"):
         TransitionStack(within, good.to_off, good.off_self, good.valid)
+
+    # a stack longer than one check block, corrupted only in its last block
+    steps = 2 * motion._CHUNK + 3
+    good = build_transitions(
+        m, np.array([[2.0, 0.0, 0.0]] * steps), np.stack([np.eye(3) * 0.01] * steps),
+        MotionParams(),
+    )
+    last = steps - 1
+    within = good.within_probs.copy()
+    within[last, 1, 4] += 1e-6
+    with pytest.raises(ValueError, match="sum to 1"):
+        TransitionStack(within, good.to_off, good.off_self, good.valid)
+    within = good.within_probs.copy()
+    within[last, 0, 0] = 1e-3
+    with pytest.raises(ValueError, match="outside the edge set"):
+        TransitionStack(within, good.to_off, good.off_self, good.valid)
+    to_off = good.to_off.copy()
+    to_off[last, 3] = -1e-3
+    with pytest.raises(ValueError, match="negative transition probability"):
+        TransitionStack(good.within_probs, to_off, good.off_self, good.valid)
+
+
+def oracle_rows(m, odom, mode):
+    """``(to_off, {j: prob})`` of every node from the per-node scalar pieces."""
+    out = []
+    for i in range(m.n_nodes):
+        if i == m.n_nodes - 1:
+            d2s = [(i, mahalanobis_sq(odom.mean, Pose2(0.0, 0.0, 0.0), odom.cov))]
+        else:
+            d2s = edge_distances(m, i, odom)
+        if mode == "no_odom":
+            p_off = MotionParams().no_odom_off
+            d2s = [(j, 0.0) for j, _ in d2s]
+        else:
+            p_off = off_map_transition(d2s) if mode == "full" else 0.0
+        out.append((p_off, dict(transition_row(d2s, p_off))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=st.one_of(banded_problems(), banded_problems(turn=0.0)),
+    mode=st.sampled_from(MOTION_MODES),
+)
+def test_stacked_models_match_per_node_oracle(problem, mode):
+    # turn = 0 problems take the expanded kernel only; turn = pi problems
+    # mix it with entries rescored by the exact residual form.  Both match
+    # the scalar oracle and their one-step builds.
+    m, means, covs, steps = problem
+    params = MotionParams(mode=mode)
+    stack = build_transitions(m, means, covs, params)
+    for s, odom in enumerate(steps):
+        one = build_transition_model(m, odom, params)
+        assert np.array_equal(stack.within_probs[s], one.within_probs)
+        assert np.array_equal(stack.to_off[s], one.to_off)
+        for i, (p_off, row) in enumerate(oracle_rows(m, odom, mode)):
+            assert abs(stack.to_off[s, i] - p_off) <= 1e-12
+            got = dict(within(stack[s], i))
+            assert set(got) == set(row)
+            assert max(abs(got[j] - p) for j, p in row.items()) <= 1e-12
+
+
+def u_turn_map():
+    """A map that turns about pi within its band, so edge headings reach past pi / 2."""
+    poses = [Pose2(0.0, 0.0, 0.0), Pose2(2.0, 0.0, 0.8), Pose2(3.0, 1.0, 1.6),
+             Pose2(2.0, 2.0, 2.4), Pose2(0.0, 2.0, 3.1), Pose2(-2.0, 2.0, -3.1)]
+    n, window = len(poses), 4
+    band = np.full((n, window, 3), np.nan)
+    band[:, 0, :] = 0.0
+    for i in range(n):
+        for k in range(1, min(window, n - i)):
+            band[i, k] = relative(poses[i], poses[i + k]).as_array()
+    return TopometricMap(np.eye(n, dtype=np.float32), band, 2.0)
+
+
+def test_wrap_guard_scores_exact_form():
+    m = u_turn_map()
+    starts, u, degenerate, _ = m.edge_geometry
+    # a straight step, a step turning about -pi whose residual against the
+    # turning edges wraps, and one turning about +pi; every step meets
+    # guarded entries, and the first and last meet unguarded ones too
+    means = np.array([[1.0, 0.1, 0.05], [0.5, 1.0, -3.0], [0.2, 0.3, 2.9]])
+    a = np.array([[0.2, 0.05, 0.01], [0.05, 0.3, -0.02], [0.01, -0.02, 0.1]])
+    precs = np.linalg.inv(np.stack([a @ a.T + 0.01 * np.eye(3)] * 3))
+    precs = 0.5 * (precs + precs.transpose(0, 2, 1))
+    exact, _ = min_mahalanobis_on_directed_segments(starts, u, degenerate, means, precs)
+    d2 = motion._edge_d2(m, means, precs)
+    guarded = np.abs(means[:, 2:] - starts[2]) >= 0.5 * np.pi
+    assert guarded.any(axis=1).all() and not guarded[[0, 2]].all(axis=1).any()
+    assert np.array_equal(d2[guarded], exact[guarded])
+    np.testing.assert_allclose(d2[~guarded], exact[~guarded], rtol=1e-12, atol=1e-12)
+    # without the guard, the unwrapped expansion scores guarded entries
+    # against the wrong heading representative
+    m.__dict__["edge_features"] = (m.edge_features[0], -np.inf)
+    unguarded = motion._edge_d2(m, means, precs)
+    assert np.abs(unguarded[guarded] - exact[guarded]).max() > 1.0
+
+
+def test_extreme_precisions_leave_the_map():
+    # variances far below any real odometry's, with a sideways step that fits
+    # no edge: every edge's d2 is astronomically large and all mass leaves
+    m = line_map()
+    variances = [(1e-300, 1e-300, 1e-300), (1e-20, 1e-20, 1e-20),
+                 (1e-300, 1e-20, 1e-100), (1e-20, 1e-300, 1e-200)]
+    covs = np.stack([np.diag(v) for v in variances])
+    means = np.array([[0.0, 3.0, 0.0]] * len(variances))
+    for mode, to_off in (("full", 1.0), ("no_off", 0.0)):
+        stack = build_transitions(m, means, covs, MotionParams(mode=mode))
+        assert np.isfinite(stack.within_probs).all()
+        assert np.all(stack.to_off == to_off)
