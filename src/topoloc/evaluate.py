@@ -2,10 +2,11 @@
 
 A query frame is labeled within-map when some map node lies within both the
 translation and the heading tolerance of its ground-truth pose (defaults 5 m
-and 30 degrees).  Proposals are judged by ground-truth pose distance, never
-by node-index equality: the label records, per frame, the full set of
-acceptable nodes.  Any proposal on a frame labeled off-map counts as a false
-positive regardless of the node.
+and 30 degrees); only nodes a sweep over x finds near the frame are tested.
+Proposals are judged by ground-truth pose distance, never by node-index
+equality: the label records, per frame, the full set of acceptable nodes.
+Any proposal on a frame labeled off-map counts as a false positive
+regardless of the node.
 """
 
 from __future__ import annotations
@@ -57,7 +58,12 @@ def label_ground_truth(
     tol_m: float = 5.0,
     tol_deg: float = 30.0,
 ) -> GroundTruthLabel:
-    """Label every query frame against the map's ground-truth node poses."""
+    """Label every query frame against the map's ground-truth node poses.
+
+    Only nodes within ``tol_m`` of a frame's x, found by ``searchsorted`` on the
+    x-sorted nodes, take the dense ``(T, N)`` table's exact test, so the labels
+    are its labels; a route along one x makes that whole table the candidates.
+    """
     if not query.has_gt:
         raise DataError("query traverse carries no ground truth")
     if map_.gt_poses is None:
@@ -67,13 +73,21 @@ def label_ground_truth(
     gt = query.gt_poses
     nodes = map_.gt_poses
     tol_rad = math.radians(tol_deg)
-    dists = np.linalg.norm(gt[:, None, :2] - nodes[None, :, :2], axis=2)
-    dheads = np.abs(wrap_angle(gt[:, None, 2] - nodes[None, :, 2]))
-    ok = (dists <= tol_m) & (dheads <= tol_rad)
-    within = ok.any(axis=1)
-    masked = np.where(ok, dists, np.inf)
-    true_node = np.where(within, np.argmin(masked, axis=1), -1).astype(int)
-    ok_nodes = [np.flatnonzero(row) for row in ok]
+    by_x = np.argsort(nodes[:, 0], kind="stable")
+    xs, reach = nodes[by_x, 0], tol_m * (1.0 + 1e-9)  # the margin only adds candidates
+    lo = np.searchsorted(xs, gt[:, 0] - reach)
+    counts = np.searchsorted(xs, gt[:, 0] + reach, side="right") - lo
+    t = np.repeat(np.arange(len(gt)), counts)
+    v = by_x[np.arange(t.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    d = np.linalg.norm(gt[t, :2] - nodes[v, :2], axis=1)  # the dense table's expressions
+    ok = (d <= tol_m) & (np.abs(wrap_angle(gt[t, 2] - nodes[v, 2])) <= tol_rad)
+    order = np.flatnonzero(ok)[np.lexsort((v[ok], t[ok]))]
+    t, v, d = t[order], v[order], d[order]
+    counts = np.bincount(t, minlength=len(gt))
+    within, starts = counts > 0, np.cumsum(counts) - counts
+    ok_nodes = np.split(v, starts[1:])
+    true_node = np.full(len(gt), -1)
+    true_node[within] = v[np.lexsort((d, t))[starts[within]]]  # stable: ties go to the lowest node
     return GroundTruthLabel(
         within_map=within,
         true_node=true_node,

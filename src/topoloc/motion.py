@@ -23,6 +23,7 @@ max(q - s (2 num - s den), 0)`` at ``s = clip(num / den, 0, 1)``, where ``den
 products of step coefficients with the map's ``edge_features`` rows.  Entries
 with ``|mu_theta - l_theta| >= pi / 2`` (none if ``|mu_theta| + max |l_theta| <
 pi / 2``), where the unwrapped expansion could err, use the exact ``geometry`` kernel.
+The softmax skips ``exp`` where it rounds to 0, a slow underflow path on S2.
 
 Modes
 -----
@@ -281,11 +282,14 @@ def build_transitions(
         if params.mode == "full":
             to_off[part] = chi2_cdf_3(min_d2)
 
-        # softmax of -d2 / 2 per node, in place; invalid edges get exp(-inf) = 0
+        # softmax of -d2 / 2 per node, in place; below -746 < ln(2**-1075), half the smallest
+        # subnormal, exp rounds to 0 (so off the edge set, at -inf), and is skipped
         table -= min_d2[:, None]
         table *= -0.5
+        zero = table <= -746.0
         with np.errstate(under="ignore"):
-            np.exp(table, out=table)
+            np.exp(table, out=table, where=~zero)
+        np.copyto(table, 0.0, where=zero)
         table /= table.sum(axis=1)[:, None]
         table *= 1.0 - to_off[part][:, None]
     return TransitionStack(within, to_off, off_self, valid)

@@ -3,14 +3,15 @@
 Everything here trades efficiency for obviousness: posteriors by explicit
 path enumeration, segment minima by dense grid search, the chi-square CDF by
 numerical quadrature, and the one-pose-at-a-time forms of what the package
-computes only on whole arrays, and descriptor distances by explicit
-differences.  Most of it imports nothing but the package's
-value types, so a bug in the library cannot hide in its own oracle.  The
-exceptions are ``min_mahalanobis_on_segment(s)``, thin wrappers over the
-library's segment kernel (``segment_directions`` followed by
-``min_mahalanobis_on_directed_segments``) that let a test score raw endpoint
-rows; a check that needs the kernel itself verified compares against
-``grid_min_mahalanobis`` instead.
+computes only on whole arrays, descriptor distances by explicit
+differences, ground-truth labels from the dense frame-by-node table and
+transition probabilities by the softmax of every entry.  Most of it imports
+nothing but the package's value types, so a bug in the library cannot hide
+in its own oracle.  The exceptions are ``min_mahalanobis_on_segment(s)``,
+thin wrappers over the library's segment kernel (``segment_directions``
+followed by ``min_mahalanobis_on_directed_segments``) that let a test score
+raw endpoint rows; a check that needs the kernel itself verified compares
+against ``grid_min_mahalanobis`` instead.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from topoloc.errors import DataError
+from topoloc.evaluate import GroundTruthLabel
 from topoloc.geometry import (
     Covariance3,
     Pose2,
@@ -120,6 +122,47 @@ def difference_distances(z, map_):
     z = np.asarray(z, dtype=np.float64)
     rows = [np.linalg.norm(map_.descriptors_f64 - row, axis=1) for row in np.atleast_2d(z)]
     return np.array(rows) if z.ndim == 2 else rows[0]
+
+
+def dense_label_ground_truth(query, map_, tol_m=5.0, tol_deg=30.0) -> GroundTruthLabel:
+    """``label_ground_truth`` from the full ``(T, N)`` distance and heading tables."""
+    if not query.has_gt:
+        raise DataError("query traverse carries no ground truth")
+    if map_.gt_poses is None:
+        raise DataError("map carries no ground-truth node poses")
+    if not (0.0 < tol_m < math.inf and 0.0 < tol_deg < math.inf):
+        raise DataError("tolerances must be positive and finite")
+    gt = query.gt_poses
+    nodes = map_.gt_poses
+    tol_rad = math.radians(tol_deg)
+    dists = np.linalg.norm(gt[:, None, :2] - nodes[None, :, :2], axis=2)
+    dheads = np.abs(wrap_angle(gt[:, None, 2] - nodes[None, :, 2]))
+    ok = (dists <= tol_m) & (dheads <= tol_rad)
+    within = ok.any(axis=1)
+    masked = np.where(ok, dists, np.inf)
+    true_node = np.where(within, np.argmin(masked, axis=1), -1).astype(int)
+    ok_nodes = [np.flatnonzero(row) for row in ok]
+    return GroundTruthLabel(
+        within_map=within,
+        true_node=true_node,
+        ok_nodes=ok_nodes,
+        tol_m=float(tol_m),
+        tol_deg=float(tol_deg),
+    )
+
+
+def unmasked_transition_probs(table, to_off):
+    """One step's ``within_probs`` from its ``(window, N)`` ``d2`` table (``+inf``
+    off the edge set): ``exp(-0.5 (d2 - min))`` of every entry, normalised per
+    node and scaled by ``1 - to_off``, in the builder's order of operations."""
+    table = np.array(table, dtype=float)
+    table -= table.min(axis=0)
+    table *= -0.5
+    with np.errstate(under="ignore"):
+        np.exp(table, out=table)
+    table /= table.sum(axis=0)
+    table *= 1.0 - np.asarray(to_off, dtype=float)
+    return table
 
 
 def grid_min_mahalanobis(lo, hi, mean, cov_inv, n_grid=10_000):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topoloc.errors import DataError
 from topoloc.evaluate import (
@@ -15,11 +17,11 @@ from topoloc.evaluate import (
     score_wakeup,
 )
 from topoloc.geometry import Covariance3, OdometryStep, Pose2
-from topoloc.mapping import build_map
+from topoloc.mapping import TopometricMap, build_map
 from topoloc.tasks import LcdFrame, LcdResult, WakeupResult
 from topoloc.traverse import Traverse
 
-from oracles import traverse_of
+from oracles import dense_label_ground_truth, traverse_of
 
 
 def _straight_map():
@@ -93,6 +95,81 @@ def test_labeling_requires_ground_truth():
     for tols in ({"tol_m": math.inf}, {"tol_deg": math.nan}):
         with pytest.raises(DataError):
             label_ground_truth(_query_with_gt([(0, 0, 0)]), m, **tols)
+
+
+def _posed(nodes, frames):
+    """A map and a query that carry nothing but the given ground-truth poses."""
+    n, t = len(nodes), len(frames)
+    band = np.full((n, 2, 3), np.nan)
+    band[:, 0] = 0.0
+    band[:-1, 1] = (1.0, 0.0, 0.0)
+    m = TopometricMap(np.ones((n, 1)), band, 1.0, gt_poses=np.array(nodes, dtype=float))
+    steps = np.broadcast_to(np.eye(3), (t - 1, 3, 3))
+    return m, Traverse(np.ones((t, 1)), np.zeros((t - 1, 3)), steps, np.array(frames, dtype=float))
+
+
+_TOL30 = math.radians(30.0)
+_grid = st.integers(-12, 12).map(float)  # integer offsets: 3-4-5 pairs, shared x, equal distances
+_heading = st.one_of(
+    st.sampled_from([0.0, _TOL30, -_TOL30, math.pi, -math.pi, math.pi - 1e-12, 1e-12 - math.pi]),
+    st.floats(-math.pi, math.pi),
+)
+_nodes = st.lists(st.tuples(_grid | st.floats(-12.0, 12.0), _grid, _heading), min_size=1, max_size=12)
+# frames reach beyond the nodes, where no node is a candidate
+_frames = st.lists(
+    st.tuples(_grid | st.floats(-40.0, 40.0), _grid | st.floats(-40.0, 40.0), _heading),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nodes=_nodes,
+    frames=_frames,
+    tol_m=st.sampled_from([5.0, 2.5, 1e308]) | st.floats(0.01, 30.0),
+    tol_deg=st.sampled_from([30.0, 180.0]) | st.floats(1.0, 360.0),
+)
+# every node 5 m off or at the frame, four of them tied; headings at +-30 degrees
+@example(
+    nodes=[(3.0, 4.0, 0.0), (0.0, -5.0, 0.0), (-3.0, -4.0, 0.0), (5.0, 0.0, _TOL30), (0.0, 0.0, 0.0)],
+    frames=[(0.0, 0.0, 0.0), (0.0, 0.0, _TOL30), (0.0, 0.0, -_TOL30), (-5.0, 0.0, 0.0)],
+    tol_m=5.0,
+    tol_deg=30.0,
+)
+# a one-node map; headings either side of +-pi; a frame with no candidate
+@example(nodes=[(2.0, 0.0, 3.1)], frames=[(2.0, 1.0, -3.1), (9.0, 0.0, 3.1)], tol_m=5.0, tol_deg=30.0)
+# nodes sharing an x; every node a candidate
+@example(
+    nodes=[(1.0, 0.0, 0.0), (1.0, 2.0, math.pi), (1.0, -2.0, 0.0), (-7.0, 0.0, 0.0)],
+    frames=[(1.0, 0.0, 0.0), (30.0, -30.0, -math.pi)],
+    tol_m=1e308,
+    tol_deg=30.0,
+)
+def test_labeling_matches_dense_oracle(nodes, frames, tol_m, tol_deg):
+    m, q = _posed(nodes, frames)
+    got = label_ground_truth(q, m, tol_m, tol_deg)
+    want = dense_label_ground_truth(q, m, tol_m, tol_deg)
+    for name in ("within_map", "true_node"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert len(got.ok_nodes) == len(want.ok_nodes)
+    for a, b in zip(got.ok_nodes, want.ok_nodes):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_labeling_boundaries_are_inclusive_and_ties_go_low():
+    m, q = _posed(
+        [(3.0, 4.0, 0.0), (0.0, -5.0, 0.0), (-3.0, -4.0, 0.0), (5.0, 0.1, 0.0), (1.0, 0.0, _TOL30)],
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 2 * _TOL30)],
+    )
+    lab = label_ground_truth(q, m)
+    # nodes 0-2 lie exactly 5 m off and tie; node 4's heading is exactly 30 degrees off
+    assert lab.ok_nodes[0].tolist() == [0, 1, 2, 4]
+    assert lab.true_node.tolist() == [4, 4, 4]
+    assert lab.ok_nodes[2].tolist() == [4]
+    m, q = _posed([(3.0, 4.0, 0.0), (0.0, -5.0, 0.0), (-3.0, -4.0, 0.0)], [(0.0, 0.0, 0.0)])
+    assert label_ground_truth(q, m).true_node.tolist() == [0]
 
 
 def _handmade_labels():

@@ -31,6 +31,7 @@ from oracles import (
     segment_endpoint_rows,
     segment_endpoints,
     to_dense,
+    unmasked_transition_probs,
     within,
 )
 
@@ -494,3 +495,31 @@ def test_extreme_precisions_leave_the_map():
         stack = build_transitions(m, means, covs, MotionParams(mode=mode))
         assert np.isfinite(stack.within_probs).all()
         assert np.all(stack.to_off == to_off)
+
+
+def test_exp_mask_matches_unmasked_softmax():
+    # node i's edge to i + 2 is 1 m from a 2 m step: d2 = 1 / sx^2, so shifted
+    # exponents of -725 (a subnormal probability) and -745.75 (exp rounds to 0,
+    # yet above the mask); the edges to i + 3 and i + 4 fall far below -746
+    m = line_map()
+    n = m.n_nodes
+    means = np.array([[2.0, 0.0, 0.0]] * 2)
+    covs = np.stack([np.diag([1.0 / inv_var, 0.01, 0.0025]) for inv_var in (1450.0, 1491.5)])
+    precs = np.linalg.inv(covs)
+    precs = 0.5 * (precs + precs.transpose(0, 2, 1))
+    d2 = motion._edge_d2(m, means, precs)
+    barrier = np.where(m.edge_geometry[3], 0.0, np.inf)
+    tables = np.empty((2,) + barrier.shape)
+    tables[:, 0] = barrier[0]
+    tables[:, 0, n - 1] = d2[:, -1]
+    tables[:, 1:] = d2[:, :-1].reshape(2, -1, n) + barrier[1:]
+    shifted = -0.5 * (tables - tables.min(axis=1)[:, None])
+    for lo, hi in ((-np.inf, -746.0), (-746.0, -745.14), (-745.13, -708.0)):
+        assert ((shifted > lo) & (shifted < hi)).any()
+    for mode in ("full", "no_off"):
+        stack = build_transitions(m, means, covs, MotionParams(mode=mode))
+        for s in range(2):
+            want = unmasked_transition_probs(tables[s], stack.to_off[s])
+            assert np.array_equal(stack.within_probs[s], want)
+        tiny = stack.within_probs[0]
+        assert ((tiny > 0.0) & (tiny < np.finfo(float).tiny)).any()
