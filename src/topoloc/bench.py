@@ -46,21 +46,12 @@ def make_synthetic_problem(
 
     band = np.full((n_nodes, window, 3), np.nan)
     for k in range(window):
-        valid_rows = n_nodes - k
-        band[:valid_rows, k, 0] = spacing * k
-        band[:valid_rows, k, 1] = 0.0
-        band[:valid_rows, k, 2] = 0.0
+        band[: n_nodes - k, k] = (spacing * k, 0.0, 0.0)
     map_ = TopometricMap(descriptors, band, node_spacing=spacing)
 
     cov = Covariance3.from_diagonal(0.05**2, 0.05**2, 0.02**2)
-    steps = []
-    for _ in range(n_inputs):
-        jitter = rng.normal(scale=(0.05, 0.05, 0.01))
-        steps.append(
-            OdometryStep(
-                mean=Pose2(spacing + jitter[0], jitter[1], jitter[2]), cov=cov
-            )
-        )
+    jitters = [rng.normal(scale=(0.05, 0.05, 0.01)) for _ in range(n_inputs)]
+    steps = [OdometryStep(Pose2(spacing + dx, dy, dtheta), cov) for dx, dy, dtheta in jitters]
 
     nodes = rng.integers(0, n_nodes, size=n_inputs)
     noise = 0.1 * rng.standard_normal((n_inputs, dim))
@@ -91,31 +82,22 @@ def run_benchmark(
     alpha = init_belief(map_.n_nodes, 0.1).vector
     alpha, _ = forward_step(alpha, warm_model, warm_g)
 
-    durations = {"motion": [], "measurement": [], "forward": [], "backward": []}
+    ticks = np.empty((repeats, 5))  # before and after each stage
     for r in range(repeats):
-        t0 = time.perf_counter()
+        ticks[r, 0] = time.perf_counter()
         model = build_transition_model(map_, steps[r], motion_params)
-        t1 = time.perf_counter()
+        ticks[r, 1] = time.perf_counter()
         g = likelihood_vector(queries[r], map_, meas_params)
-        t2 = time.perf_counter()
+        ticks[r, 2] = time.perf_counter()
         alpha, c = forward_step(alpha, model, g)
-        t3 = time.perf_counter()
+        ticks[r, 3] = time.perf_counter()
         beta = np.ones_like(alpha)
         weighted = g * beta
         beta = model.backpropagate(weighted) / c
-        t4 = time.perf_counter()
-        durations["motion"].append(t1 - t0)
-        durations["measurement"].append(t2 - t1)
-        durations["forward"].append(t3 - t2)
-        durations["backward"].append(t4 - t3)
+        ticks[r, 4] = time.perf_counter()
 
-    stages = {}
-    for name, vals in durations.items():
-        arr = 1e3 * np.array(vals)
-        stages[name] = {
-            "mean_ms": float(arr.mean()),
-            "max_ms": float(arr.max()),
-        }
+    ms = dict(zip(("motion", "measurement", "forward", "backward"), 1e3 * np.diff(ticks).T))
+    stages = {k: {"mean_ms": float(a.mean()), "max_ms": float(a.max())} for k, a in ms.items()}
     total_mean = sum(s["mean_ms"] for s in stages.values())
     return {
         "n_nodes": n_nodes,

@@ -241,13 +241,7 @@ def _cmd_rerun(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = run_benchmark(
-        n_nodes=args.n_nodes,
-        dim=args.dim,
-        repeats=args.repeats,
-        seed=args.seed,
-        window=args.window,
-    )
+    report = run_benchmark(args.n_nodes, args.dim, args.repeats, args.seed, args.window)
     text = json.dumps(report, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -146,8 +146,7 @@ def _sweep(taus, can_propose, correct, gt_within) -> PrCurve:
     sorted_tau = taus[order]
 
     def suffix(flags):
-        s = np.concatenate([np.cumsum(flags[order][::-1])[::-1], [0]])
-        return s
+        return np.concatenate([np.cumsum(flags[order][::-1])[::-1], [0]])
 
     suf_prop = suffix(can_propose)
     suf_tp = suffix(correct)
@@ -176,6 +175,14 @@ def _sweep(taus, can_propose, correct, gt_within) -> PrCurve:
     )
 
 
+def _acceptable(labels: GroundTruthLabel, frames: np.ndarray, proposals: np.ndarray) -> np.ndarray:
+    """Whether each proposal is acceptable at its frame, by one ``isin`` of pair keys."""
+    nodes = np.concatenate([np.empty(0, dtype=int), *labels.ok_nodes])
+    pairs = np.repeat(np.arange(len(labels)), [len(ok) for ok in labels.ok_nodes])
+    width = max(int(nodes.max(initial=0)), int(proposals.max(initial=0))) + 1
+    return np.isin(frames * width + proposals, pairs * width + nodes)
+
+
 def score_lcd(result: LcdResult, labels: GroundTruthLabel) -> PrCurve:
     """PR curve for a loop-closure run, sweeping over all observed tau values.
 
@@ -185,12 +192,9 @@ def score_lcd(result: LcdResult, labels: GroundTruthLabel) -> PrCurve:
     """
     if len(result.frames) != len(labels):
         raise DataError("result and labels disagree on the frame count")
-    taus = result.taus()
-    correct = np.array(
-        [f.proposal in labels.ok_nodes[t] for t, f in enumerate(result.frames)]
-    )
+    correct = _acceptable(labels, np.arange(len(labels)), result.proposals())
     can = np.ones(len(labels), dtype=bool)
-    return _sweep(taus, can, correct, labels.within_map)
+    return _sweep(result.taus(), can, correct, labels.within_map)
 
 
 @dataclass(eq=False)
@@ -224,23 +228,16 @@ def score_wakeup(results: list[WakeupResult], labels: GroundTruthLabel) -> Wakeu
     when it is off-map.  The sweep re-thresholds the recorded tau of
     converged trials; unconverged trials never propose.
     """
-    n_frames = len(labels)
-    taus = np.empty(len(results))
-    can = np.empty(len(results), dtype=bool)
-    correct = np.zeros(len(results), dtype=bool)
-    within = np.empty(len(results), dtype=bool)
-    dist = np.empty(len(results))
-    for idx, r in enumerate(results):
-        frame = r.start + r.steps_used
-        if frame >= n_frames:
-            raise DataError(f"trial {r.trial} decision frame beyond the labels")
-        taus[idx] = r.tau
-        can[idx] = r.converged
-        if r.converged:
-            correct[idx] = r.proposal in labels.ok_nodes[frame]
-        within[idx] = labels.within_map[frame]
-        dist[idx] = r.distance_traveled
-    curve = _sweep(taus, can, correct, within)
+    frames = np.array([r.start + r.steps_used for r in results], dtype=int)
+    late = np.flatnonzero(frames >= len(labels))
+    if late.size:
+        raise DataError(f"trial {results[late[0]].trial} decision frame beyond the labels")
+    can = np.array([r.converged for r in results], dtype=bool)
+    proposals = np.array([r.proposal if r.converged else -1 for r in results], dtype=int)
+    correct = can & _acceptable(labels, frames, proposals)
+    taus = np.array([r.tau for r in results], dtype=float)
+    dist = np.array([r.distance_traveled for r in results], dtype=float)
+    curve = _sweep(taus, can, correct, labels.within_map[frames])
     return WakeupScore(curve=curve, _taus=taus, _can=can, _distances=dist)
 
 

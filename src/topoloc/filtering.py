@@ -10,7 +10,8 @@ constants ``c_t`` stored alongside; the sum of their logs is the log
 evidence (their product underflows on queries of a few hundred frames).  The
 backward pass divides by the stored ``c_t`` (the standard scaled
 convention), so smoothed marginals are simply the renormalized elementwise
-product of the two messages.
+product of the two messages.  Both passes step through the stack's arrays
+with one :class:`~topoloc.motion.BandKernel` each, building no per-step model.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import MeasurementDegenerateError
 from .mapping import TopometricMap
-from .motion import TransitionModel, TransitionStack
+from .motion import BandKernel, TransitionModel, TransitionStack
 
 __all__ = [
     "Belief",
@@ -35,6 +36,7 @@ __all__ = [
     "init_belief",
     "run_forward",
     "smooth_pass",
+    "tau_half_width",
 ]
 
 
@@ -159,8 +161,9 @@ def run_forward(prior: Belief, transitions: TransitionStack, likelihoods) -> Fil
     alphas = np.empty(likelihoods.shape)
     scales = np.empty(len(likelihoods))
     alphas[0], scales[0] = forward_init(prior, likelihoods[0])
+    band = BandKernel(transitions.window, transitions.n_nodes)
     for t in range(1, len(likelihoods)):
-        raw = transitions[t - 1].propagate(alphas[t - 1])
+        raw = band.forward(transitions, t - 1, alphas[t - 1])
         raw *= likelihoods[t]
         alphas[t], scales[t] = _normalize(raw, step=t)
     _check_beliefs(alphas[:, :-1], alphas[:, -1])
@@ -185,9 +188,10 @@ def smooth_pass(trace: FilterTrace) -> np.ndarray:
     smoothed = np.empty(alphas.shape)
     smoothed[-1] = alphas[-1]
     beta = np.ones(alphas.shape[1])
+    band = BandKernel(trace.transitions.window, trace.transitions.n_nodes)
     for t in range(n_frames - 1, 0, -1):
         weighted = trace.likelihoods[t] * beta
-        beta = trace.transitions[t - 1].backpropagate(weighted) / trace.scales[t]
+        beta = band.backward(trace.transitions, t - 1, weighted) / trace.scales[t]
         product = alphas[t - 1] * beta
         total = product.sum()
         if not total > 0.0:
@@ -223,16 +227,20 @@ def convergence_scores(
     n = map_.n_nodes
     if within.ndim != 2 or within.shape[1] != n:
         raise ValueError("beliefs and map disagree on the number of nodes")
-    if not radius_m >= 0.0:
-        raise ValueError("radius_m must be non-negative")
     modes = np.argmax(within, axis=1)
-    # nodes beyond either end count as zero mass; n - 1 reaches every node
-    half = min(math.floor(radius_m / map_.node_spacing + 0.5), n - 1)
+    half = tau_half_width(map_, radius_m)  # nodes beyond either end count as zero mass
     padded = np.zeros((len(within), n + 2 * half))
     padded[:, half : half + n] = within
     mass = padded[np.arange(len(within))[:, None], modes[:, None] + np.arange(2 * half + 1)]
     taus = np.add.accumulate(mass, axis=1)[:, -1]
     return modes, taus
+
+
+def tau_half_width(map_: TopometricMap, radius_m: float) -> int:
+    """Nodes either side of the mode in ``tau``: ``radius_m`` in spacings, at most ``N - 1``."""
+    if not radius_m >= 0.0:
+        raise ValueError("radius_m must be non-negative")
+    return min(math.floor(radius_m / map_.node_spacing + 0.5), map_.n_nodes - 1)
 
 
 def decide(

@@ -8,8 +8,9 @@ likelihood: high enough that it competes when nothing stands out, low enough
 that a clear match wins.
 
 Distances are computed as matrix products, ``||z||^2 + ||z_v||^2 - 2 z . z_v``
-with the map's squared norms cached, so a whole query costs one GEMM
-(Johnson, Douze & Jegou, "Billion-scale similarity search with GPUs", 2019).
+with the map's squared norms cached, so a whole query costs one stacked
+product of one row against the map per frame (Johnson, Douze & Jegou,
+"Billion-scale similarity search with GPUs", 2019).
 That form cancels catastrophically when ``z`` is close to ``z_v``: a query
 equal to a map descriptor scores 1e-8 to 1e-7 instead of 0, and clamping at
 0 does not help, so the noiseless scenario's taus would move by about
@@ -90,15 +91,16 @@ def _query_rows(z, map_: TopometricMap) -> np.ndarray:
 def descriptor_distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
     """Distances ``||z - z_v||`` to every node: ``(d,)`` gives ``(N,)``, ``(T, d)`` ``(T, N)``.
 
-    One matrix product for all rows, with near-zero entries recomputed in the
-    difference form (see the module notes).
+    Row-exact: one ``(1, d) @ (d, N)`` product per row, so a row's bits do not depend
+    on the stack it is in (a GEMM rounds by row count).  Near-zero entries are
+    recomputed in the difference form (see the module notes).
     """
     z = _query_rows(z, map_)
     zs = np.atleast_2d(z)
     refs = map_.descriptors_f64
     z_sq = np.einsum("ij,ij->i", zs, zs)
     scale = np.add.outer(z_sq, map_.descriptor_sq_norms)
-    d2 = zs @ refs.T
+    d2 = (zs[:, None, :] @ refs.T)[:, 0]
     d2 *= -2.0
     d2 += scale
     scale *= _GUARD

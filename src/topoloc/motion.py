@@ -25,6 +25,14 @@ with ``|mu_theta - l_theta| >= pi / 2`` (none if ``|mu_theta| + max |l_theta| <
 pi / 2``), where the unwrapped expansion could err, use the exact ``geometry`` kernel.
 The softmax skips ``exp`` where it rounds to 0, a slow underflow path on S2.
 
+:class:`BandKernel` propagates in two array operations per direction.  Forward,
+``within_probs[k, i] alpha_i`` fill a buffer after ``window - 1`` zero columns; a
+view with rows one element shorter shifts row ``k`` by ``k``, and ``np.add.reduce``
+over its rows gives ``alpha @ E``.  Backward, the table times the window view of
+``v`` with ``window - 1`` trailing zeros, reduced over its rows.  Both add offsets
+in order from ``k = 0`` and the padding adds exact zeros, so they equal one slice
+product per offset summed in that order, bit for bit, also when ``window > N``.
+
 Modes
 -----
 ``full``     odometry-conditioned transitions with the off-map state,
@@ -44,6 +52,7 @@ from .mapping import TopometricMap
 
 __all__ = [
     "MOTION_MODES",
+    "BandKernel",
     "MotionParams",
     "OdometryStep",
     "TransitionModel",
@@ -144,9 +153,9 @@ class TransitionModel:
     off-map row is ``off_self`` on itself and uniform ``(1 - off_self) / N``
     into each node; see :meth:`off_out`.  Rows must sum to one within 1e-9.
 
-    The dense matrix is never materialized: propagation touches only the
-    stored O(N * window) entries.  Constructing one checks it as a stack of
-    one step; :class:`TransitionStack` hands out steps already checked.
+    Propagation is :class:`BandKernel`'s, never forming the dense matrix.
+    Constructing one checks it as a stack of one step; :class:`TransitionStack`
+    hands out steps already checked.
     """
 
     def __init__(
@@ -163,6 +172,7 @@ class TransitionModel:
         self._bind(TransitionStack(within_probs[None], to_off, [off_self], valid), 0)
 
     def _bind(self, stack: TransitionStack, s: int) -> "TransitionModel":
+        self._stack, self._s = stack, s
         self.within_probs = stack.within_probs[s]
         self.to_off = stack.to_off[s]
         self.off_self = float(stack.off_self[s])
@@ -177,38 +187,51 @@ class TransitionModel:
         return (1.0 - self.off_self) / self.n_nodes
 
     def propagate(self, alpha: np.ndarray) -> np.ndarray:
-        """Row-vector product ``alpha @ E`` over the banded structure.
-
-        ``alpha`` has length ``N + 1`` with the off-map entry last.
-        """
-        n = self.n_nodes
-        if alpha.shape != (n + 1,):
-            raise ValueError(f"alpha must have shape ({n + 1},)")
-        pred = np.zeros(n + 1)
-        within = alpha[:n]
-        for k in range(min(self.window, n)):
-            if k == 0:
-                pred[:n] += within * self.within_probs[0]
-            else:
-                pred[k:n] += within[: n - k] * self.within_probs[k, : n - k]
-        pred[:n] += alpha[n] * self.off_out
-        pred[n] = within @ self.to_off + alpha[n] * self.off_self
-        return pred
+        """Row-vector product ``alpha @ E``; ``alpha`` has length ``N + 1``, off-map last."""
+        if alpha.shape != (self.n_nodes + 1,):
+            raise ValueError(f"alpha must have shape ({self.n_nodes + 1},)")
+        return BandKernel(self.window, self.n_nodes).forward(self._stack, self._s, alpha)
 
     def backpropagate(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product ``E @ v`` over the banded structure."""
-        n = self.n_nodes
-        if v.shape != (n + 1,):
-            raise ValueError(f"v must have shape ({n + 1},)")
-        out = np.zeros(n + 1)
-        v_within = v[:n]
-        for k in range(min(self.window, n)):
-            if k == 0:
-                out[:n] += self.within_probs[0] * v_within
-            else:
-                out[: n - k] += self.within_probs[k, : n - k] * v_within[k:]
-        out[:n] += self.to_off * v[n]
-        out[n] = self.off_self * v[n] + self.off_out * v_within.sum()
+        if v.shape != (self.n_nodes + 1,):
+            raise ValueError(f"v must have shape ({self.n_nodes + 1},)")
+        return BandKernel(self.window, self.n_nodes).backward(self._stack, self._s, v)
+
+
+class BandKernel:
+    """``alpha @ E`` and ``E @ v`` for any step of a stack, on scratch a whole pass reuses."""
+
+    def __init__(self, window: int, n: int):
+        buf = np.zeros((window, n + window))  # zero columns either side of the products
+        self._products = buf[:, window - 1 : window - 1 + n]
+        # rows one element shorter than the buffer's: row k reads its products shifted by k
+        flat = buf.reshape(-1)[window - 1 : window - 1 + window * (n + window - 1)]
+        self._shifted_products = flat.reshape(window, -1)[:, :n]
+        self._message = np.zeros(n + window - 1)  # window - 1 trailing zeros
+        # sliding_window_view(message, n), read-only, made directly: its checks cost 20 us a call
+        self._shifted_message = np.ndarray((window, n), buffer=self._message, strides=(8, 8))
+        self._shifted_message.flags.writeable = False
+
+    def forward(self, stack: TransitionStack, s: int, alpha: np.ndarray) -> np.ndarray:
+        """``alpha @ E`` for step ``s`` of ``stack``: a new ``(N + 1,)`` array."""
+        n, off_self = stack.n_nodes, stack.off_self[s]
+        pred = np.empty(n + 1)
+        np.multiply(stack.within_probs[s], alpha[:n], out=self._products)
+        np.add.reduce(self._shifted_products, axis=0, out=pred[:n])
+        pred[:n] += alpha[n] * ((1.0 - off_self) / n)
+        pred[n] = alpha[:n] @ stack.to_off[s] + alpha[n] * off_self
+        return pred
+
+    def backward(self, stack: TransitionStack, s: int, v: np.ndarray) -> np.ndarray:
+        """``E @ v`` for step ``s`` of ``stack``: a new ``(N + 1,)`` array."""
+        n, off_self = stack.n_nodes, stack.off_self[s]
+        out = np.empty(n + 1)
+        self._message[:n] = v[:n]
+        np.multiply(stack.within_probs[s], self._shifted_message, out=self._products)
+        np.add.reduce(self._products, axis=0, out=out[:n])
+        out[:n] += stack.to_off[s] * v[n]
+        out[n] = off_self * v[n] + ((1.0 - off_self) / n) * v[:n].sum()
         return out
 
 

@@ -9,10 +9,10 @@ filtered) beliefs.  The recorded tau values drive offline threshold sweeps.
 Wakeup starts from a uniform prior at an unknown query position and filters
 forward until the belief concentrates or the step budget runs out.  The
 first decision happens after the first motion-and-measurement update, never
-on the prior alone.  A batch of trials computes the descriptor distances and
-transition models of every frame its trials' windows cover once, as arrays,
-and holds them for the whole batch; each trial then filters over its own
-rows of them and stops at its first convergence.
+on the prior alone.  A batch of trials computes the distances (one row-exact
+call) and transition models (one stack) of every frame its trials' windows
+cover, and holds them for the whole batch; each trial then filters over its
+own rows of them and stops at its first convergence.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import numpy as np
 
 from .errors import DataError
 from .filtering import (
+    _normalize,
     convergence_scores,
     forward_init,
-    forward_step,
     init_belief,
     run_forward,
     smooth_pass,
+    tau_half_width,
 )
 from .geometry import translation_norms
 from .mapping import TopometricMap
@@ -39,7 +40,7 @@ from .measurement import (
     likelihood_vector,
     likelihoods_from_distances,
 )
-from .motion import MotionParams, build_transitions
+from .motion import BandKernel, MotionParams, build_transitions
 from .traverse import Traverse
 
 __all__ = [
@@ -118,12 +119,8 @@ def run_lcd(map_: TopometricMap, query: Traverse, params: PipelineParams) -> Lcd
     beliefs = trace.alphas if params.forward_only else smooth_pass(trace)
     modes, taus = convergence_scores(beliefs[:, :-1], map_, params.radius_m)
     mode_mass = beliefs[np.arange(len(modes)), modes]
-    frames = [
-        LcdFrame(t=t, proposal=mode, tau=tau, mode_mass=mass)
-        for t, (mode, tau, mass) in enumerate(
-            zip(modes.tolist(), taus.tolist(), mode_mass.tolist())
-        )
-    ]
+    rows = zip(modes.tolist(), taus.tolist(), mode_mass.tolist())
+    frames = [LcdFrame(t, mode, tau, mass) for t, (mode, tau, mass) in enumerate(rows)]
     return LcdResult(frames=frames, lam=float(meas.lam))
 
 
@@ -170,11 +167,10 @@ def _wakeup_trials(
     """Wakeup trials from the given start frames, numbered in list order.
 
     A trial's window is frames ``start..last`` with ``last = min(start +
-    max_steps, T - 1)``.  The distances and transition models of every frame
-    the windows cover are computed once, as ``(U, N)`` and ``U - 1``-step
-    arrays over the ``U`` covered frames; each trial then filters over its
-    own rows, which are consecutive there.  Only the kernel rate is the
-    trial's own: it is calibrated on its start frame.
+    max_steps, T - 1)``.  The ``U`` covered frames' distances and models are
+    ``(U, N)`` and ``U - 1``-step arrays, in which each trial's rows are
+    consecutive.  Only the kernel rate is the trial's own: it is calibrated on
+    its start frame.
     """
     if query.descriptor_dim != map_.descriptor_dim:
         raise DataError("descriptor dimension mismatch between query and map")
@@ -190,21 +186,18 @@ def _wakeup_trials(
     for start, last in zip(starts, lasts):
         covered[start : last + 1] = True
     frames = np.flatnonzero(covered)
-    # One call per frame, not one matrix product over the covered rows: a
-    # product's rounding depends on its row count, and a trial of a batch
-    # must equal the same trial run alone bit for bit.
-    dists = np.stack([descriptor_distances(query.descriptors[t], map_) for t in frames])
-    # odometry row t - 1 is the step into frame t, so model i is the step
-    # into frames[i + 1]
+    # odometry row t - 1 is the step into frame t: model i is the step into frames[i + 1]
     steps = frames[1:] - 1
     odom_means = query.odom_means[steps]
     models = build_transitions(map_, odom_means, query.odom_covs[steps], params.motion)
     step_lengths = translation_norms(odom_means).tolist()
+    # row-exact, as if per frame; made before the stack, it raised S2 peak RSS by 15 MB
+    dists = descriptor_distances(query.descriptors[frames], map_)
     prior = init_belief(map_.n_nodes, params.p0_off)
-    results = []
-    for trial, (start, last, row) in enumerate(
-        zip(starts, lasts, np.searchsorted(frames, starts).tolist())
-    ):
+    band = BandKernel(models.window, models.n_nodes)
+    half = tau_half_width(map_, params.radius_m)
+    results, rows = [], np.searchsorted(frames, starts).tolist()
+    for trial, (start, last, row) in enumerate(zip(starts, lasts, rows)):
         meas = params.measurement
         if meas.lam is None:
             meas = replace(meas, lam=calibrate_lambda(query.descriptors[start], map_, meas.rho))
@@ -213,17 +206,19 @@ def _wakeup_trials(
         distance = 0.0
         proposal = None
         for steps_used in range(1, last - start + 1):
-            alpha, _ = forward_step(alpha, models[row + steps_used - 1], g[steps_used])
+            raw = band.forward(models, row + steps_used - 1, alpha)
+            raw *= g[steps_used]
+            alpha, _ = _normalize(raw, step=None)
             distance += step_lengths[row + steps_used - 1]
-            modes, taus = convergence_scores(alpha[None, :-1], map_, params.radius_m)
-            tau = float(taus[0])
+            # convergence_scores of one row: its zero padding adds exactly, so slicing matches
+            within = alpha[:-1]
+            mode = int(within.argmax())
+            tau = float(np.add.accumulate(within[max(mode - half, 0) : mode + half + 1])[-1])
             if tau > params.tau_thres:
-                proposal = int(modes[0])
+                proposal = mode
                 break
         converged = proposal is not None
-        results.append(
-            WakeupResult(trial, start, converged, steps_used, proposal, tau, distance)
-        )
+        results.append(WakeupResult(trial, start, converged, steps_used, proposal, tau, distance))
     return results
 
 
@@ -241,12 +236,11 @@ def run_wakeup_batch(
     different methods evaluated with the same seed face identical starts.
     Each result equals :func:`run_wakeup` of its start and trial index.
 
-    The trials share each covered frame's descriptor distances and
-    transition model, computed once per batch; a trial only turns distances
-    into likelihoods at its own kernel rate.  The batch holds every covered
-    frame's distances and model at once, as :func:`run_lcd` holds a whole
-    query's: at most the whole traverse, 33 MB on an S2 query (28 MB of
-    models, 5 MB of distances).  Results are in trial order.
+    The trials share the covered frames' distances, from one
+    :func:`~topoloc.measurement.descriptor_distances` call, and transition
+    models, and the batch holds them all, as :func:`run_lcd` holds a whole
+    query's: at most the whole traverse, 33 MB on an S2 query (28 MB of models,
+    5 MB of distances, 5 MB more during that call).  Results are in trial order.
     """
     if n_trials < 1:
         raise DataError("n_trials must be at least 1")

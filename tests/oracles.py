@@ -4,8 +4,9 @@ Everything here trades efficiency for obviousness: posteriors by explicit
 path enumeration, segment minima by dense grid search, the chi-square CDF by
 numerical quadrature, and the one-pose-at-a-time forms of what the package
 computes only on whole arrays, descriptor distances by explicit
-differences, ground-truth labels from the dense frame-by-node table and
-transition probabilities by the softmax of every entry.  Most of it imports
+differences, banded products by one slice product per diagonal offset,
+ground-truth labels from the dense frame-by-node table and transition
+probabilities by the softmax of every entry.  Most of it imports
 nothing but the package's value types, so a bug in the library cannot hide
 in its own oracle.  The exceptions are ``min_mahalanobis_on_segment(s)``,
 thin wrappers over the library's segment kernel (``segment_directions``
@@ -322,6 +323,62 @@ def to_dense(model) -> np.ndarray:
     dense[n, :n] = model.off_out
     dense[n, n] = model.off_self
     return dense
+
+
+def slice_propagate(model, alpha: np.ndarray) -> np.ndarray:
+    """``alpha @ E`` as one slice product per diagonal offset, summed from offset 0."""
+    n = model.n_nodes
+    pred = np.zeros(n + 1)
+    within = alpha[:n]
+    for k in range(min(model.window, n)):
+        if k == 0:
+            pred[:n] += within * model.within_probs[0]
+        else:
+            pred[k:n] += within[: n - k] * model.within_probs[k, : n - k]
+    pred[:n] += alpha[n] * model.off_out
+    pred[n] = within @ model.to_off + alpha[n] * model.off_self
+    return pred
+
+
+def slice_backpropagate(model, v: np.ndarray) -> np.ndarray:
+    """``E @ v`` as one slice product per diagonal offset, summed from offset 0."""
+    n = model.n_nodes
+    out = np.zeros(n + 1)
+    v_within = v[:n]
+    for k in range(min(model.window, n)):
+        if k == 0:
+            out[:n] += model.within_probs[0] * v_within
+        else:
+            out[: n - k] += model.within_probs[k, : n - k] * v_within[k:]
+    out[:n] += model.to_off * v[n]
+    out[n] = model.off_self * v[n] + model.off_out * v_within.sum()
+    return out
+
+
+def slice_forward_backward(prior_vector, stack, likelihoods):
+    """Scaled forward messages, scales and smoothed beliefs, one model per step.
+
+    The forward and backward passes step through ``stack[t]`` models with
+    :func:`slice_propagate` and :func:`slice_backpropagate`, in the same
+    order of operations as ``filtering.run_forward`` and ``smooth_pass``.
+    """
+    alphas = np.empty(likelihoods.shape)
+    scales = np.empty(len(likelihoods))
+    raw = prior_vector * likelihoods[0]
+    for t in range(len(likelihoods)):
+        if t:
+            raw = slice_propagate(stack[t - 1], alphas[t - 1])
+            raw *= likelihoods[t]
+        scales[t] = float(raw.sum())
+        alphas[t] = raw / scales[t]
+    smoothed = np.empty(alphas.shape)
+    smoothed[-1] = alphas[-1]
+    beta = np.ones(alphas.shape[1])
+    for t in range(len(alphas) - 1, 0, -1):
+        beta = slice_backpropagate(stack[t - 1], likelihoods[t] * beta) / scales[t]
+        product = alphas[t - 1] * beta
+        smoothed[t - 1] = product / product.sum()
+    return alphas, scales, smoothed
 
 
 def traverse_of(frames) -> Traverse:

@@ -11,6 +11,7 @@ from topoloc.errors import DataError
 from topoloc.evaluate import (
     GroundTruthLabel,
     PrCurve,
+    _sweep,
     label_ground_truth,
     recall_at_precision,
     score_lcd,
@@ -248,6 +249,61 @@ def test_score_lcd_validates_lengths():
     short = LcdResult(frames=res.frames[:3], lam=1.0)
     with pytest.raises(DataError):
         score_lcd(short, labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(0, 40), n_nodes=st.integers(1, 12))
+def test_score_lcd_equals_the_per_frame_membership_loop(seed, n_frames, n_nodes):
+    rng = np.random.default_rng(seed)
+    ok_nodes = [
+        np.flatnonzero(rng.uniform(size=n_nodes) < rng.uniform(-0.3, 1.0)) for _ in range(n_frames)
+    ]
+    labels = GroundTruthLabel(
+        within_map=np.array([ok.size > 0 for ok in ok_nodes], dtype=bool),
+        true_node=np.array([ok[0] if ok.size else -1 for ok in ok_nodes], dtype=int),
+        ok_nodes=ok_nodes,
+        tol_m=5.0,
+        tol_deg=30.0,
+    )
+    taus = rng.integers(0, 5, size=n_frames) / 4.0  # ties included
+    proposals = rng.integers(0, n_nodes, size=n_frames)
+    rows = enumerate(zip(proposals.tolist(), taus.tolist()))
+    result = LcdResult(frames=[LcdFrame(t, p, tau, 0.0) for t, (p, tau) in rows], lam=1.0)
+    correct = [f.proposal in labels.ok_nodes[t] for t, f in enumerate(result.frames)]
+    want = _sweep(taus, np.ones(n_frames, dtype=bool), correct, labels.within_map)
+    got = score_lcd(result, labels)
+    for name in ("thresholds", "precision", "recall", "tp", "fp", "fn", "tn"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_trials=st.integers(0, 40), n_nodes=st.integers(1, 12))
+def test_score_wakeup_equals_the_per_trial_loop(seed, n_trials, n_nodes):
+    rng = np.random.default_rng(seed)
+    n_frames = 8
+    ok_nodes = [np.flatnonzero(rng.uniform(size=n_nodes) < 0.4) for _ in range(n_frames)]
+    labels = GroundTruthLabel(
+        within_map=np.array([ok.size > 0 for ok in ok_nodes], dtype=bool),
+        true_node=np.array([ok[0] if ok.size else -1 for ok in ok_nodes], dtype=int),
+        ok_nodes=ok_nodes,
+        tol_m=5.0,
+        tol_deg=30.0,
+    )
+    results = []
+    for trial in range(n_trials):
+        start = int(rng.integers(0, n_frames - 1))
+        steps = int(rng.integers(1, n_frames - start))
+        converged = bool(rng.uniform() < 0.7)
+        proposal = int(rng.integers(0, n_nodes)) if converged else None
+        tau = float(rng.integers(0, 5) / 4.0)
+        results.append(WakeupResult(trial, start, converged, steps, proposal, tau, 3.0 * steps))
+    frames = np.array([r.start + r.steps_used for r in results], dtype=int)
+    correct = [r.converged and r.proposal in labels.ok_nodes[f] for r, f in zip(results, frames)]
+    taus, can = [r.tau for r in results], [r.converged for r in results]
+    want = _sweep(taus, can, correct, labels.within_map[frames])
+    got = score_wakeup(results, labels)
+    for name in ("thresholds", "precision", "recall", "tp", "fp", "fn", "tn"):
+        assert np.array_equal(getattr(got.curve, name), getattr(want, name)), name
 
 
 def _wakeup_trials():

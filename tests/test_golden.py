@@ -14,17 +14,22 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from topoloc.filtering import run_forward, smooth_pass
 from topoloc.mapping import build_map
 from topoloc.simulate import builtin_scenarios, simulate_scenario
 from topoloc.tasks import PipelineParams, run_lcd, run_wakeup_batch
+
+from oracles import slice_forward_backward
 
 GOLDEN = Path(__file__).parent / "data" / "golden_small.json"
 TAU_ATOL = 1e-12
 
 
-def golden_outputs() -> dict:
+def golden_problem():
+    """The shortened S2 map and query the golden file was made from."""
     s2 = builtin_scenarios()["S2"]
     length = 500.0
     detours = tuple(d for d in s2.query.detours if d.end_s < length)
@@ -32,7 +37,11 @@ def golden_outputs() -> dict:
         s2, length_m=length, query=dataclasses.replace(s2.query, detours=detours)
     )
     _, ref, query = simulate_scenario(spec, 0)
-    map_ = build_map(ref, 2.0, 5)
+    return build_map(ref, 2.0, 5), query
+
+
+def golden_outputs() -> dict:
+    map_, query = golden_problem()
     params = PipelineParams()
     lcd = run_lcd(map_, query, params)
     trials = run_wakeup_batch(map_, query, 40, 7, 30, params)
@@ -58,6 +67,37 @@ def test_outputs_match_golden_file():
             assert g[key] == w[key], (w["trial"], key)
         assert g["distance_traveled"] == w["distance_traveled"]
         assert g["tau"] == pytest.approx(w["tau"], rel=0, abs=TAU_ATOL)
+
+
+def test_lcd_passes_equal_the_slice_loops_bit_for_bit(monkeypatch):
+    # run_lcd's forward and backward passes against one slice product per
+    # offset and step, the form the golden file was made with, fed the same
+    # likelihoods and transitions
+    import topoloc.tasks as tasks_mod
+
+    seen = {}
+
+    def keep_trace(prior, transitions, likelihoods):
+        seen["prior"] = prior
+        seen["trace"] = run_forward(prior, transitions, likelihoods)
+        return seen["trace"]
+
+    def keep_smoothed(trace):
+        seen["smoothed"] = smooth_pass(trace)
+        return seen["smoothed"]
+
+    map_, query = golden_problem()
+    monkeypatch.setattr(tasks_mod, "run_forward", keep_trace)
+    monkeypatch.setattr(tasks_mod, "smooth_pass", keep_smoothed)
+    run_lcd(map_, query, PipelineParams())
+    trace = seen["trace"]
+    alphas, scales, smoothed = slice_forward_backward(
+        seen["prior"].vector, trace.transitions, trace.likelihoods
+    )
+    assert len(query) > 100
+    assert np.array_equal(trace.alphas, alphas)
+    assert np.array_equal(trace.scales, scales)
+    assert np.array_equal(seen["smoothed"], smoothed)
 
 
 if __name__ == "__main__":

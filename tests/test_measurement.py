@@ -189,3 +189,20 @@ def test_noiseless_lcd_matches_the_difference_form(monkeypatch):
     assert got.lam == want.lam
     assert np.array_equal(got.proposals(), want.proposals())
     assert np.abs(got.taus() - want.taus()).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_distance_rows_do_not_depend_on_the_stack(dim):
+    # a row has the same bits alone, in the whole stack and inside any other
+    # stack, guarded rows (equal to a map row) included
+    rng = np.random.default_rng(dim + 1)
+    desc = rng.normal(size=(300, dim)).astype(np.float32)
+    m = map_with_descriptors(desc)
+    zs = rng.normal(size=(48, dim)).astype(np.float32)
+    zs[[3, 30]] = desc[[7, 250]]
+    whole = descriptor_distances(zs, m)
+    assert whole[3, 7] == 0.0 and whole[30, 250] == 0.0
+    for i, z in enumerate(zs):
+        assert np.array_equal(descriptor_distances(z, m), whole[i])
+    for rows in (slice(0, 1), slice(3, 17), slice(5, 48), rng.permutation(48)[:20]):
+        assert np.array_equal(descriptor_distances(zs[rows], m), whole[rows])

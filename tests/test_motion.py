@@ -30,6 +30,8 @@ from oracles import (
     relative,
     segment_endpoint_rows,
     segment_endpoints,
+    slice_backpropagate,
+    slice_propagate,
     to_dense,
     unmasked_transition_probs,
     within,
@@ -208,6 +210,74 @@ def test_propagate_agrees_with_dense_product():
     assert np.allclose(model.propagate(alpha), alpha @ dense, atol=1e-12)
     v = rng.uniform(size=m.n_nodes + 1)
     assert np.allclose(model.backpropagate(v), dense @ v, atol=1e-12)
+
+
+def random_band_stack(rng, n, window, steps):
+    """A checked stack over a random edge set: edges dropped at random, every
+    node left without one keeps its stay slot, the final node always does;
+    ``to_off`` and ``off_self`` include exact 0 and 1."""
+    valid = np.zeros((window, n), dtype=bool)
+    for k in range(1, window):
+        valid[k, : max(n - k, 0)] = rng.uniform(size=max(n - k, 0)) < 0.8
+    valid[0, ~valid.any(axis=0)] = True
+    to_off = rng.uniform(size=(steps, n))
+    to_off[rng.uniform(size=(steps, n)) < 0.2] = 0.0
+    to_off[rng.uniform(size=(steps, n)) < 0.2] = 1.0
+    raw = rng.uniform(0.01, 1.0, size=(steps, window, n)) * valid
+    probs = raw / raw.sum(axis=1, keepdims=True) * (1.0 - to_off)[:, None]
+    off_self = rng.choice([0.0, 0.3, 0.9, 1.0], size=steps)
+    return TransitionStack(probs, to_off, off_self, valid)
+
+
+def band_messages(rng, n):
+    """Messages with off-map mass 0, 1 and in between, plus an unnormalized one."""
+    mixed = rng.uniform(size=n + 1)
+    on_map = np.append(rng.uniform(size=n), 0.0)
+    off_map = np.append(np.zeros(n), 1.0)
+    return [mixed / mixed.sum(), on_map / on_map.sum(), off_map, rng.uniform(0.0, 50.0, size=n + 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 14), window=st.integers(1, 9))
+def test_band_kernel_equals_slice_loops_bit_for_bit(seed, n, window):
+    # the slice loops are the kernels' previous form; window > N is drawn often
+    rng = np.random.default_rng(seed)
+    stack = random_band_stack(rng, n, window, steps=3)
+    band = motion.BandKernel(window, n)  # one scratch for every step and both directions
+    for s in range(len(stack)):
+        model = stack[s]
+        for msg in band_messages(rng, n):
+            want_forward = slice_propagate(model, msg)
+            want_backward = slice_backpropagate(model, msg)
+            assert np.array_equal(band.forward(stack, s, msg), want_forward)
+            assert np.array_equal(band.backward(stack, s, msg), want_backward)
+            assert np.array_equal(model.propagate(msg), want_forward)
+            assert np.array_equal(model.backpropagate(msg), want_backward)
+
+
+def test_band_kernel_on_a_built_map_keeps_the_stay_column():
+    m = line_map(n=40, window=5)
+    stack = build_transitions(
+        m, np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.9, 0.2, 0.1]]),
+        np.broadcast_to(np.diag([0.01, 0.01, 0.0025]), (3, 3, 3)), MotionParams(),
+    )
+    assert stack.within_probs[1, 0, -1] > 0.0  # a standing step keeps the final node
+    band = motion.BandKernel(stack.window, stack.n_nodes)
+    rng = np.random.default_rng(3)
+    for s in range(len(stack)):
+        for msg in band_messages(rng, m.n_nodes):
+            assert np.array_equal(band.forward(stack, s, msg), slice_propagate(stack[s], msg))
+            assert np.array_equal(band.backward(stack, s, msg), slice_backpropagate(stack[s], msg))
+
+
+def test_propagation_rejects_mismatched_messages():
+    model = build_transition_model(line_map(), step(2.5, 0.1), MotionParams())
+    n = model.n_nodes
+    for bad in (np.ones(n), np.ones(n + 2), np.ones((1, n + 1))):
+        with pytest.raises(ValueError, match="alpha must have shape"):
+            model.propagate(bad)
+        with pytest.raises(ValueError, match="v must have shape"):
+            model.backpropagate(bad)
 
 
 def test_model_stores_band_not_square():

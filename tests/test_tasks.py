@@ -1,6 +1,5 @@
 """The two end-to-end harnesses: loop-closure detection and wakeup."""
 
-import collections
 from dataclasses import replace
 
 import numpy as np
@@ -143,28 +142,30 @@ def test_wakeup_batch_equals_single_trials(mode):
 
 def test_wakeup_batch_builds_each_frame_once(monkeypatch):
     # a batch computes the frames its trials' windows cover once: one
-    # transition build over their steps and one distance call per frame
+    # transition build over their steps and one distance call over their rows
     import topoloc.tasks as tasks_mod
 
-    builds = []
-    measured = collections.Counter()
+    builds, measured = [], []
     build = tasks_mod.build_transitions
     measure = tasks_mod.descriptor_distances
-
-    def row_of(view, column):
-        # which row of the column a view starts at, by its address
-        offset = view.__array_interface__["data"][0] - column.__array_interface__["data"][0]
-        assert offset % column.strides[0] == 0 and np.shares_memory(view, column)
-        return offset // column.strides[0]
 
     def counting_build(map_, odom_means, odom_covs, params):
         builds.append((odom_means, odom_covs))
         return build(map_, odom_means, odom_covs, params)
 
     def counting_measure(z, map_):
-        assert z.ndim == 1
-        measured[row_of(z, _query.descriptors)] += 1
+        measured.append(np.array(z))
         return measure(z, map_)
+
+    def assert_one_call_over(frames):
+        # one 2-D call whose rows are these frames' descriptors, each once
+        assert len(measured) == 1 and measured[0].ndim == 2
+        np.testing.assert_array_equal(measured[0], _query.descriptors[frames])
+        assert len(np.unique(measured[0], axis=0)) == len(frames)
+        assert len(builds) == 1
+        # odometry row t - 1 is the step into frame t
+        np.testing.assert_array_equal(builds[0][0], _query.odom_means[frames[1:] - 1])
+        np.testing.assert_array_equal(builds[0][1], _query.odom_covs[frames[1:] - 1])
 
     monkeypatch.setattr(tasks_mod, "build_transitions", counting_build)
     monkeypatch.setattr(tasks_mod, "descriptor_distances", counting_measure)
@@ -173,22 +174,14 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
     covered = sorted(
         {t for r in batch for t in range(r.start, min(r.start + max_steps, final) + 1)}
     )
-    # odometry row t - 1 is the step into frame t
-    expected = np.array(covered[1:]) - 1
-    assert len(builds) == 1
-    np.testing.assert_array_equal(builds[0][0], _query.odom_means[expected])
-    np.testing.assert_array_equal(builds[0][1], _query.odom_covs[expected])
-    assert sorted(measured) == covered
-    assert max(measured.values()) == 1
+    assert len(covered) < len(_query)  # the batch leaves frames out, so rows are chosen
+    assert_one_call_over(np.array(covered))
 
     # a trial alone reads start..start + max_steps and nothing beyond
     builds.clear()
     measured.clear()
     run_wakeup(_map, _query, 40, max_steps, _params)
-    assert sorted(measured) == list(range(40, 47))
-    assert len(builds) == 1
-    np.testing.assert_array_equal(builds[0][0], _query.odom_means[40:46])
-    np.testing.assert_array_equal(builds[0][1], _query.odom_covs[40:46])
+    assert_one_call_over(np.arange(40, 47))
 
 
 def test_inference_reads_the_columns_not_the_frame_view(monkeypatch):
