@@ -19,6 +19,11 @@ equal to a map descriptor scores 1e-8 to 1e-7 instead of 0, and clamping at
 ``||z - z_v||``: 2.75e-4 of the entries on the noiseless S0, none on S1-S3.
 The kernel rate is calibrated on the difference form of its one frame, so it
 does not depend on how a run batches its distances.
+
+Each row is its own ``(1, d) @ (d, N)`` product, so a stack of rows is computed
+in blocks of ``_ROW_BLOCK`` rows that one thread per CPU the process may run on
+takes from a shared queue, each block writing its rows of one output array,
+with the bits of one serial pass; a stack of at most one block runs inline.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .mapping import TopometricMap
 
 __all__ = [
@@ -72,6 +78,8 @@ def order_stat_k(n_nodes: int, params: MeasurementParams) -> int:
 _GUARD = 1e-4
 # Guarded entries recomputed per pass, bounding the (entries, d) temporary.
 _GUARD_BLOCK = 4096
+# Query rows per block of work a thread takes.
+_ROW_BLOCK = 32
 
 
 def _difference_distances(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -93,24 +101,30 @@ def descriptor_distances(z: np.ndarray, map_: TopometricMap) -> np.ndarray:
 
     Row-exact: one ``(1, d) @ (d, N)`` product per row, so a row's bits do not depend
     on the stack it is in (a GEMM rounds by row count).  Near-zero entries are
-    recomputed in the difference form (see the module notes).
+    recomputed in the difference form (see the module notes).  Blocks of rows
+    run across the CPUs, with the same bits as one serial pass.
     """
     z = _query_rows(z, map_)
     zs = np.atleast_2d(z)
-    refs = map_.descriptors_f64
-    z_sq = np.einsum("ij,ij->i", zs, zs)
-    scale = np.add.outer(z_sq, map_.descriptor_sq_norms)
-    d2 = (zs[:, None, :] @ refs.T)[:, 0]
-    d2 *= -2.0
-    d2 += scale
-    scale *= _GUARD
-    rows, cols = np.nonzero(d2 < scale)
-    np.maximum(d2, 0.0, out=d2)
-    np.sqrt(d2, out=d2)
-    for lo in range(0, rows.size, _GUARD_BLOCK):
-        r, c = rows[lo : lo + _GUARD_BLOCK], cols[lo : lo + _GUARD_BLOCK]
-        d2[r, c] = _difference_distances(zs[r], refs[c])
-    return d2 if z.ndim == 2 else d2[0]
+    refs, ref_sq = map_.descriptors_f64, map_.descriptor_sq_norms
+    out = np.empty((len(zs), len(refs)))
+
+    def rows(lo, hi):
+        q, d = zs[lo:hi], out[lo:hi]
+        scale = np.add.outer(np.einsum("ij,ij->i", q, q), ref_sq)
+        np.matmul(q[:, None, :], refs.T, out=d[:, None, :])
+        d *= -2.0
+        d += scale
+        scale *= _GUARD
+        r, c = np.nonzero(d < scale)
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        for at in range(0, r.size, _GUARD_BLOCK):
+            rr, cc = r[at : at + _GUARD_BLOCK], c[at : at + _GUARD_BLOCK]
+            d[rr, cc] = _difference_distances(q[rr], refs[cc])
+
+    run_blocks(rows, len(zs), _ROW_BLOCK)
+    return out if z.ndim == 2 else out[0]
 
 
 def calibrate_lambda(z0: np.ndarray, map_: TopometricMap, rho: float) -> float:

@@ -25,6 +25,15 @@ with ``|mu_theta - l_theta| >= pi / 2`` (none if ``|mu_theta| + max |l_theta| <
 pi / 2``), where the unwrapped expansion could err, use the exact ``geometry`` kernel.
 The softmax skips ``exp`` where it rounds to 0, a slow underflow path on S2.
 
+A stack is built, and a :class:`TransitionStack` checked, in blocks of
+``_CHUNK`` steps that one thread per CPU the process may run on
+(``os.sched_getaffinity``) takes in order from a shared queue; a stack of at
+most ``_CHUNK`` steps, such as :func:`build_transition_model`'s, runs inline.
+Step ``s``'s model comes from its own odometry rows only, through the same
+per-step products in whichever block and thread it lands, so no split changes a
+bit, and a failed check raises the error of the lowest failing step, as one
+serial pass would.
+
 :class:`BandKernel` propagates in two array operations per direction.  Forward,
 ``within_probs[k, i] alpha_i`` fill a buffer after ``window - 1`` zero columns; a
 view with rows one element shorter shifts row ``k`` by ``k``, and ``np.add.reduce``
@@ -47,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .geometry import OdometryStep, chi2_cdf_3, min_mahalanobis_on_directed_segments
 from .mapping import TopometricMap
 
@@ -92,8 +102,8 @@ class MotionParams:
 _CHUNK = 16
 
 
-def _check_transitions(within_probs, to_off, off_self, valid):
-    """The checks every stack of transition models passes, once, in ``_CHUNK``-step blocks."""
+def _check_shapes(within_probs, to_off, off_self, valid):
+    """The whole-stack checks of :class:`TransitionStack`, made before any block runs."""
     if within_probs.ndim != 3:
         raise ValueError("within_probs must be (steps, window, N)")
     steps, w, n = within_probs.shape
@@ -103,14 +113,16 @@ def _check_transitions(within_probs, to_off, off_self, valid):
         raise ValueError("shape mismatch between within_probs, to_off, off_self, valid")
     if not np.all((0.0 <= off_self) & (off_self <= 1.0)):
         raise ValueError("off_self must lie in [0, 1]")
-    for lo in range(0, steps, _CHUNK):
-        within, off = within_probs[lo : lo + _CHUNK], to_off[lo : lo + _CHUNK]
-        if np.any((within != 0.0) & ~valid):
-            raise ValueError("probabilities outside the edge set must be zero")
-        if min(within.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
-            raise ValueError("negative transition probability")
-        if np.abs(within.sum(axis=1) + off - 1.0).max(initial=0.0) > 1e-9:
-            raise ValueError("transition rows must sum to 1 within 1e-9")
+
+
+def _check_steps(within, off, valid):
+    """The per-entry checks of a few steps' ``within_probs`` and ``to_off``."""
+    if np.any((within != 0.0) & ~valid):
+        raise ValueError("probabilities outside the edge set must be zero")
+    if min(within.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
+        raise ValueError("negative transition probability")
+    if np.abs(within.sum(axis=1) + off - 1.0).max(initial=0.0) > 1e-9:
+        raise ValueError("transition rows must sum to 1 within 1e-9")
 
 
 class TransitionStack:
@@ -119,8 +131,10 @@ class TransitionStack:
     ``within_probs[s]`` ``(S, window, N)``, ``to_off[s]`` ``(S, N)`` and
     ``off_self[s]`` ``(S,)`` are step ``s``'s :class:`TransitionModel`
     arrays; ``valid`` ``(window, N)`` is the map's edge set, shared by every
-    step.  Construction checks the whole stack once; ``stack[s]`` is step
-    ``s``'s model, a read-only view that is not checked again.
+    step.  Construction checks the whole stack once, its shapes first and then
+    its entries in ``_CHUNK``-step blocks across the CPUs, raising the lowest
+    failing step's error; ``stack[s]`` is step ``s``'s model, a read-only view
+    that is not checked again.
     """
 
     def __init__(self, within_probs, to_off, off_self, valid):
@@ -128,7 +142,16 @@ class TransitionStack:
         to_off = np.asarray(to_off, dtype=float)
         off_self = np.asarray(off_self, dtype=float)
         valid = np.asarray(valid, dtype=bool)
-        _check_transitions(within_probs, to_off, off_self, valid)
+        _check_shapes(within_probs, to_off, off_self, valid)
+        run_blocks(
+            lambda lo, hi: _check_steps(within_probs[lo:hi], to_off[lo:hi], valid),
+            len(to_off),
+            _CHUNK,
+        )
+        self._set(within_probs, to_off, off_self, valid)
+
+    def _set(self, within_probs, to_off, off_self, valid) -> "TransitionStack":
+        """Holds arrays that passed ``_check_shapes`` and ``_check_steps``, read-only."""
         self.within_probs = within_probs
         self.to_off = to_off
         self.off_self = off_self
@@ -136,6 +159,7 @@ class TransitionStack:
         self.window, self.n_nodes = valid.shape
         for arr in (within_probs, to_off, off_self, valid):
             arr.setflags(write=False)
+        return self
 
     def __len__(self) -> int:
         return self.to_off.shape[0]
@@ -270,6 +294,8 @@ def build_transitions(
     expanded kernel (module docstring) scores ``_CHUNK`` steps per pass, as one
     same-shaped product per step, so step ``s``'s model depends on its own
     rows only and any slice of the rows builds the same models bit for bit.
+    Each pass checks the steps it built, so the stack is not checked a second
+    time.
     ``no_odom`` ignores both arrays and repeats one model ``S`` times.
     """
     n = map_.n_nodes
@@ -281,7 +307,8 @@ def build_transitions(
         to_off = np.full(n, params.no_odom_off)
         counts = valid.sum(axis=0)
         probs = np.where(valid, (1.0 - to_off)[None, :] / counts[None, :], 0.0)
-        return TransitionStack(
+        _check_steps(probs[None], to_off[None], valid)  # the model of every step
+        return TransitionStack.__new__(TransitionStack)._set(
             np.broadcast_to(probs, (steps,) + probs.shape),
             np.broadcast_to(to_off, (steps, n)),
             off_self,
@@ -293,8 +320,10 @@ def build_transitions(
     barrier = np.where(valid, 0.0, np.inf)
     within = np.empty((steps,) + valid.shape)
     to_off = np.zeros((steps, n))
-    for lo in range(0, steps, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
+    map_.edge_features  # the per-map cache, filled before the blocks read it
+
+    def build(lo, hi):
+        part = slice(lo, hi)
         d2 = _edge_d2(map_, odom_means[part], precs[part])
         # d2 table by diagonal offset, +inf off the edge set (offset 0: the stay column)
         table = within[part]
@@ -315,7 +344,10 @@ def build_transitions(
         np.copyto(table, 0.0, where=zero)
         table /= table.sum(axis=1)[:, None]
         table *= 1.0 - to_off[part][:, None]
-    return TransitionStack(within, to_off, off_self, valid)
+        _check_steps(table, to_off[part], valid)
+
+    run_blocks(build, steps, _CHUNK)
+    return TransitionStack.__new__(TransitionStack)._set(within, to_off, off_self, valid)
 
 
 def build_transition_model(

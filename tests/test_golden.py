@@ -12,11 +12,15 @@ Regenerate the file (only when outputs change on purpose) with::
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topoloc
 from topoloc.filtering import run_forward, smooth_pass
 from topoloc.mapping import build_map
 from topoloc.simulate import builtin_scenarios, simulate_scenario
@@ -98,6 +102,23 @@ def test_lcd_passes_equal_the_slice_loops_bit_for_bit(monkeypatch):
     assert np.array_equal(trace.alphas, alphas)
     assert np.array_equal(trace.scales, scales)
     assert np.array_equal(seen["smoothed"], smoothed)
+
+
+def test_outputs_do_not_depend_on_the_blas_pool_size():
+    # stacks and distances are built in row blocks whose BLAS calls run side by
+    # side, with OpenBLAS's own threads or without them: the same bits either way
+    path = os.pathsep.join([str(Path(topoloc.__file__).parents[1]), str(GOLDEN.parents[1])])
+    script = "import json, test_golden; print(json.dumps(test_golden.golden_outputs()))"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=600, check=True,
+        )
+        outputs.append(json.loads(done.stdout))
+    assert len(outputs[0]["wakeup"]) == 40
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":
