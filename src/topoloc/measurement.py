@@ -24,6 +24,7 @@ Each row is its own ``(1, d) @ (d, N)`` product, so a stack of rows is computed
 in blocks of ``_ROW_BLOCK`` rows that one thread per CPU the process may run on
 takes from a shared queue, each block writing its rows of one output array,
 with the bits of one serial pass; a stack of at most one block runs inline.
+Likelihood rows, each its own ``exp`` and selection, run in the same blocks.
 """
 
 from __future__ import annotations
@@ -164,14 +165,21 @@ def likelihoods_from_distances(d: np.ndarray, params: MeasurementParams) -> np.n
     """:func:`likelihood_vector` on precomputed :func:`descriptor_distances`.
 
     Works row by row: ``(N,)`` distances give ``(N + 1,)`` likelihoods and
-    ``(T, N)`` give ``(T, N + 1)``.
+    ``(T, N)`` give ``(T, N + 1)``, in blocks of ``_ROW_BLOCK`` rows across
+    the CPUs with the bits of one serial pass.
     """
     if params.lam is None:
         raise ValueError("likelihood_vector requires a resolved lam")
     n = d.shape[-1]
     g = np.empty(d.shape[:-1] + (n + 1,))
-    with np.errstate(under="ignore"):
-        np.exp(-params.lam * d, out=g[..., :n])
     k = order_stat_k(n, params)
-    g[..., n] = np.partition(g[..., :n], n - k, axis=-1)[..., n - k]
+    d_rows, g_rows = d.reshape(-1, n), g.reshape(-1, n + 1)
+
+    def rows(lo, hi):
+        part = g_rows[lo:hi]
+        with np.errstate(under="ignore"):
+            np.exp(-params.lam * d_rows[lo:hi], out=part[:, :n])
+        part[:, n] = np.partition(part[:, :n], n - k, axis=-1)[:, n - k]
+
+    run_blocks(rows, len(d_rows), _ROW_BLOCK)
     return g

@@ -34,6 +34,10 @@ per-step products in whichever block and thread it lands, so no split changes a
 bit, and a failed check raises the error of the lowest failing step, as one
 serial pass would.
 
+:class:`TransitionStore` keeps the models of a query's steps per map and
+:class:`MotionParams`, built by as few :func:`build_transitions` calls as its
+requests allow, each over exactly the steps it does not hold yet.
+
 :class:`BandKernel` propagates in two array operations per direction.  Forward,
 ``within_probs[k, i] alpha_i`` fill a buffer after ``window - 1`` zero columns; a
 view with rows one element shorter shifts row ``k`` by ``k``, and ``np.add.reduce``
@@ -52,6 +56,8 @@ Modes
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +73,7 @@ __all__ = [
     "OdometryStep",
     "TransitionModel",
     "TransitionStack",
+    "TransitionStore",
     "build_transition_model",
     "build_transitions",
 ]
@@ -126,7 +133,7 @@ def _check_steps(within, off, valid):
 
 
 class TransitionStack:
-    """The transition models of ``S`` consecutive steps over one map.
+    """The transition models of ``S`` steps over one map.
 
     ``within_probs[s]`` ``(S, window, N)``, ``to_off[s]`` ``(S, N)`` and
     ``off_self[s]`` ``(S,)`` are step ``s``'s :class:`TransitionModel`
@@ -134,7 +141,9 @@ class TransitionStack:
     step.  Construction checks the whole stack once, its shapes first and then
     its entries in ``_CHUNK``-step blocks across the CPUs, raising the lowest
     failing step's error; ``stack[s]`` is step ``s``'s model, a read-only view
-    that is not checked again.
+    that is not checked again.  A stack that :meth:`TransitionStore.stack`
+    hands out holds ``within_probs`` and ``to_off`` as tuples of per-step rows
+    of the checked arrays its builds made, so ``[s]`` reads the same rows.
     """
 
     def __init__(self, within_probs, to_off, off_self, valid):
@@ -151,18 +160,23 @@ class TransitionStack:
         self._set(within_probs, to_off, off_self, valid)
 
     def _set(self, within_probs, to_off, off_self, valid) -> "TransitionStack":
-        """Holds arrays that passed ``_check_shapes`` and ``_check_steps``, read-only."""
+        """Holds step rows that passed ``_check_shapes`` and ``_check_steps``, read-only.
+
+        ``within_probs`` and ``to_off`` are whole arrays, or tuples of one
+        read-only row per step taken from the arrays of other stacks.
+        """
         self.within_probs = within_probs
         self.to_off = to_off
         self.off_self = off_self
         self.valid = valid
         self.window, self.n_nodes = valid.shape
         for arr in (within_probs, to_off, off_self, valid):
-            arr.setflags(write=False)
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
         return self
 
     def __len__(self) -> int:
-        return self.to_off.shape[0]
+        return len(self.off_self)
 
     def __getitem__(self, s: int) -> "TransitionModel":
         return TransitionModel.__new__(TransitionModel)._bind(self, s)
@@ -348,6 +362,62 @@ def build_transitions(
 
     run_blocks(build, steps, _CHUNK)
     return TransitionStack.__new__(TransitionStack)._set(within, to_off, off_self, valid)
+
+
+class TransitionStore:
+    """The models of every step built so far over one traverse's odometry.
+
+    A :class:`~topoloc.traverse.Traverse` holds one, so dropping the query
+    frees it.  Steps are held per map, keyed weakly so that dropping the map
+    frees its steps too, and per :class:`MotionParams` value.  Each
+    :func:`build_transitions` call's own arrays are kept, never a whole-query
+    array: 48 bytes per map node and step, 28.5 MB for the S2 seed 0 query per
+    map and motion mode.  A lock serialises requests, so threads sharing a
+    query never build a step twice.
+    """
+
+    def __init__(self, odom_means: np.ndarray, odom_covs: np.ndarray):
+        self._odom_means, self._odom_covs = odom_means, odom_covs
+        # map -> {params: (within rows, to_off rows, off_self)}, one entry per step
+        self._held = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # a pickled traverse carries its odometry, not the models: the maps are other objects
+        return TransitionStore, (self._odom_means, self._odom_covs)
+
+    def stack(self, map_: TopometricMap, params: MotionParams, steps) -> TransitionStack:
+        """The models of odometry rows ``steps``, in that order, as one stack.
+
+        The steps not held yet are built in one :func:`build_transitions` call
+        over exactly those rows; the stack reads every step's rows from the
+        arrays that built it, without copying them.  Step ``s``'s model
+        depends on its own rows only, so it equals a fresh build bit for bit.
+        """
+        steps = np.asarray(steps, dtype=np.intp).reshape(-1).tolist()
+        total = len(self._odom_means)
+        if steps and not 0 <= min(steps) <= max(steps) < total:
+            raise IndexError(f"steps must lie in [0, {total})")
+        with self._lock:
+            by_params = self._held.setdefault(map_, {})
+            if params not in by_params:
+                by_params[params] = ([None] * total, [None] * total, np.empty(total))
+            within, to_off, off_self = by_params[params]
+            missing = sorted({s for s in steps if within[s] is None})
+            if missing:
+                built = build_transitions(
+                    map_, self._odom_means[missing], self._odom_covs[missing], params
+                )
+                for row, s in enumerate(missing):
+                    within[s], to_off[s] = built.within_probs[row], built.to_off[row]
+                off_self[missing] = built.off_self
+            gathered = off_self[steps]
+        return TransitionStack.__new__(TransitionStack)._set(
+            tuple(within[s] for s in steps),
+            tuple(to_off[s] for s in steps),
+            gathered,
+            map_.edge_geometry[3],
+        )
 
 
 def build_transition_model(

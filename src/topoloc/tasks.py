@@ -9,10 +9,16 @@ filtered) beliefs.  The recorded tau values drive offline threshold sweeps.
 Wakeup starts from a uniform prior at an unknown query position and filters
 forward until the belief concentrates or the step budget runs out.  The
 first decision happens after the first motion-and-measurement update, never
-on the prior alone.  A batch of trials computes the distances (one row-exact
-call) and transition models (one stack) of every frame its trials' windows
-cover, and holds them for the whole batch; each trial then filters over its
-own rows of them and stops at its first convergence.
+on the prior alone.  A batch of trials computes the distances of every frame
+its trials' windows cover in one row-exact call, and calibrates the trials'
+kernel rates in blocks across the CPUs; each trial then filters over its own
+rows and stops at its first convergence.
+
+Transition models depend on the query only through its odometry, so both
+tasks read them from the query's :class:`~topoloc.motion.TransitionStore`:
+each step is built once per query, map and
+:class:`~topoloc.motion.MotionParams` value, by the first run that needs it,
+and later runs and batches read it again.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .errors import DataError
 from .filtering import (
     _normalize,
@@ -40,7 +47,7 @@ from .measurement import (
     likelihood_vector,
     likelihoods_from_distances,
 )
-from .motion import BandKernel, MotionParams, build_transitions
+from .motion import BandKernel, MotionParams
 from .traverse import Traverse
 
 __all__ = [
@@ -52,6 +59,9 @@ __all__ = [
     "run_wakeup",
     "run_wakeup_batch",
 ]
+
+# Trial starts per block of kernel-rate calibrations a thread takes.
+_LAMBDA_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -112,8 +122,10 @@ def run_lcd(map_: TopometricMap, query: Traverse, params: PipelineParams) -> Lcd
     meas = params.measurement
     if meas.lam is None:
         meas = replace(meas, lam=calibrate_lambda(query.descriptors[0], map_, meas.rho))
+    # the models the query keeps first, below the likelihoods on the heap: made after them,
+    # lcd-s2 re-faulted about 20 MB per operation in 5 of 8 runs (seed 11)
+    transitions = query.transitions.stack(map_, params.motion, range(len(query) - 1))
     likelihoods = likelihood_vector(query.descriptors, map_, meas)
-    transitions = build_transitions(map_, query.odom_means, query.odom_covs, params.motion)
     prior = init_belief(map_.n_nodes, params.p0_off)
     trace = run_forward(prior, transitions, likelihoods)
     beliefs = trace.alphas if params.forward_only else smooth_pass(trace)
@@ -167,10 +179,11 @@ def _wakeup_trials(
     """Wakeup trials from the given start frames, numbered in list order.
 
     A trial's window is frames ``start..last`` with ``last = min(start +
-    max_steps, T - 1)``.  The ``U`` covered frames' distances and models are
-    ``(U, N)`` and ``U - 1``-step arrays, in which each trial's rows are
-    consecutive.  Only the kernel rate is the trial's own: it is calibrated on
-    its start frame.
+    max_steps, T - 1)``.  The ``U`` covered frames' distances are one ``(U,
+    N)`` array, in which each trial's rows are consecutive.  The models of the
+    trials' steps, in trial order, are one stack from the query's store, which
+    builds the steps it does not hold yet.  Only the kernel rate is the
+    trial's own: it is calibrated on its start frame.
     """
     if query.descriptor_dim != map_.descriptor_dim:
         raise DataError("descriptor dimension mismatch between query and map")
@@ -186,30 +199,35 @@ def _wakeup_trials(
     for start, last in zip(starts, lasts):
         covered[start : last + 1] = True
     frames = np.flatnonzero(covered)
-    # odometry row t - 1 is the step into frame t: model i is the step into frames[i + 1]
-    steps = frames[1:] - 1
-    odom_means = query.odom_means[steps]
-    models = build_transitions(map_, odom_means, query.odom_covs[steps], params.motion)
-    step_lengths = translation_norms(odom_means).tolist()
+    # odometry row t - 1 is the step into frame t: a trial's steps are start..last - 1
+    steps = np.concatenate([np.arange(start, last) for start, last in zip(starts, lasts)])
+    firsts = np.cumsum([0] + [last - start for start, last in zip(starts, lasts)]).tolist()
+    models = query.transitions.stack(map_, params.motion, steps)
+    step_lengths = translation_norms(query.odom_means[steps]).tolist()
     # row-exact, as if per frame; made before the stack, it raised S2 peak RSS by 15 MB
     dists = descriptor_distances(query.descriptors[frames], map_)
+    meas = params.measurement
+    lams = [meas.lam] * len(starts)
+    if meas.lam is None:
+        def calibrate(lo, hi):
+            for i in range(lo, hi):
+                lams[i] = calibrate_lambda(query.descriptors[starts[i]], map_, meas.rho)
+
+        run_blocks(calibrate, len(starts), _LAMBDA_BLOCK)
     prior = init_belief(map_.n_nodes, params.p0_off)
     band = BandKernel(models.window, models.n_nodes)
     half = tau_half_width(map_, params.radius_m)
     results, rows = [], np.searchsorted(frames, starts).tolist()
-    for trial, (start, last, row) in enumerate(zip(starts, lasts, rows)):
-        meas = params.measurement
-        if meas.lam is None:
-            meas = replace(meas, lam=calibrate_lambda(query.descriptors[start], map_, meas.rho))
-        g = likelihoods_from_distances(dists[row : row + last - start + 1], meas)
+    for trial, (start, last, row, first, lam) in enumerate(zip(starts, lasts, rows, firsts, lams)):
+        g = likelihoods_from_distances(dists[row : row + last - start + 1], replace(meas, lam=lam))
         alpha, _ = forward_init(prior, g[0])
         distance = 0.0
         proposal = None
         for steps_used in range(1, last - start + 1):
-            raw = band.forward(models, row + steps_used - 1, alpha)
+            raw = band.forward(models, first + steps_used - 1, alpha)
             raw *= g[steps_used]
             alpha, _ = _normalize(raw, step=None)
-            distance += step_lengths[row + steps_used - 1]
+            distance += step_lengths[first + steps_used - 1]
             # convergence_scores of one row: its zero padding adds exactly, so slicing matches
             within = alpha[:-1]
             mode = int(within.argmax())
@@ -237,10 +255,12 @@ def run_wakeup_batch(
     Each result equals :func:`run_wakeup` of its start and trial index.
 
     The trials share the covered frames' distances, from one
-    :func:`~topoloc.measurement.descriptor_distances` call, and transition
-    models, and the batch holds them all, as :func:`run_lcd` holds a whole
-    query's: at most the whole traverse, 33 MB on an S2 query (28 MB of models,
-    5 MB of distances, 5 MB more during that call).  Results are in trial order.
+    :func:`~topoloc.measurement.descriptor_distances` call, which the batch
+    holds: at most the whole traverse, 5 MB on an S2 query (5 MB more during
+    that call).  Their transition models come from the query's store, which
+    keeps every step built for the query until the query or the map is
+    dropped: 48 bytes per map node and step, 28.5 MB for the S2 seed 0 query
+    per map and motion mode.  Results are in trial order.
     """
     if n_trials < 1:
         raise DataError("n_trials must be at least 1")

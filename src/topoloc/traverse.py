@@ -58,6 +58,9 @@ class Traverse:
     ``d >= 1``, matching row counts, finite values, covariances symmetric to
     1e-12 and positive definite; angles are wrapped to ``(-pi, pi]``.
     Errors name the offending frame.
+
+    ``transitions`` is the query's :class:`~topoloc.motion.TransitionStore`:
+    the models of its steps built so far, freed with the traverse.
     """
 
     descriptors: np.ndarray
@@ -87,6 +90,9 @@ class Traverse:
             if value is not None:
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+        from .motion import TransitionStore  # motion imports mapping, which imports this module
+
+        object.__setattr__(self, "transitions", TransitionStore(self.odom_means, self.odom_covs))
 
     def __len__(self) -> int:
         return self.descriptors.shape[0]

@@ -206,3 +206,23 @@ def test_distance_rows_do_not_depend_on_the_stack(dim):
         assert np.array_equal(descriptor_distances(z, m), whole[i])
     for rows in (slice(0, 1), slice(3, 17), slice(5, 48), rng.permutation(48)[:20]):
         assert np.array_equal(descriptor_distances(zs[rows], m), whole[rows])
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_likelihood_rows_do_not_depend_on_the_stack(dim):
+    # likelihood rows (exp and the off-map selection) run in row blocks across
+    # the CPUs: a row has the same bits alone, in the whole stack and in any other
+    rng = np.random.default_rng(dim + 2)
+    desc = rng.normal(size=(300, dim)).astype(np.float32)
+    m = map_with_descriptors(desc)
+    zs = rng.normal(size=(100, dim)).astype(np.float32)
+    zs[[3, 70]] = desc[[7, 250]]
+    params = MeasurementParams(lam=calibrate_lambda(zs[0], m, math.e))
+    d = descriptor_distances(zs, m)
+    whole = measurement.likelihoods_from_distances(d, params)
+    assert len(zs) > 2 * measurement._ROW_BLOCK  # the whole stack takes several blocks
+    for i in range(len(zs)):
+        assert np.array_equal(measurement.likelihoods_from_distances(d[i], params), whole[i])
+    for rows in (slice(0, 1), slice(3, 40), slice(5, 100), rng.permutation(100)[:70]):
+        assert np.array_equal(measurement.likelihoods_from_distances(d[rows], params), whole[rows])
+        assert np.array_equal(likelihood_vector(zs[rows], m, params), whole[rows])

@@ -140,13 +140,30 @@ def test_wakeup_batch_equals_single_trials(mode):
     assert run_wakeup(_map, _query, starts[0], 10**19, params) == whole[0]
 
 
+def fresh_query(query: Traverse) -> Traverse:
+    """The same columns in a new traverse, whose store holds no step yet."""
+    return Traverse(query.descriptors, query.odom_means, query.odom_covs, query.gt_poses)
+
+
+def covered_frames(batch, max_steps: int, final: int) -> set[int]:
+    return {t for r in batch for t in range(r.start, min(r.start + max_steps, final) + 1)}
+
+
+def trial_steps(batch, max_steps: int, final: int) -> np.ndarray:
+    """The odometry rows the trials step through, sorted: row t - 1 is the step into frame t."""
+    return np.array(sorted(
+        {t for r in batch for t in range(r.start, min(r.start + max_steps, final))}))
+
+
 def test_wakeup_batch_builds_each_frame_once(monkeypatch):
-    # a batch computes the frames its trials' windows cover once: one
-    # transition build over their steps and one distance call over their rows
+    # a batch computes the distances of the frames its trials' windows cover in
+    # one call over their rows; the query's store builds each step once, in one
+    # transition build per batch over exactly the covered steps it lacks
+    import topoloc.motion as motion_mod
     import topoloc.tasks as tasks_mod
 
     builds, measured = [], []
-    build = tasks_mod.build_transitions
+    build = motion_mod.build_transitions
     measure = tasks_mod.descriptor_distances
 
     def counting_build(map_, odom_means, odom_covs, params):
@@ -157,31 +174,42 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
         measured.append(np.array(z))
         return measure(z, map_)
 
-    def assert_one_call_over(frames):
-        # one 2-D call whose rows are these frames' descriptors, each once
+    def assert_one_call(query, frames, new_steps):
+        # one 2-D distances call whose rows are these frames' descriptors, each
+        # once, and one build over exactly the steps not built before
         assert len(measured) == 1 and measured[0].ndim == 2
-        np.testing.assert_array_equal(measured[0], _query.descriptors[frames])
+        np.testing.assert_array_equal(measured[0], query.descriptors[frames])
         assert len(np.unique(measured[0], axis=0)) == len(frames)
         assert len(builds) == 1
-        # odometry row t - 1 is the step into frame t
-        np.testing.assert_array_equal(builds[0][0], _query.odom_means[frames[1:] - 1])
-        np.testing.assert_array_equal(builds[0][1], _query.odom_covs[frames[1:] - 1])
+        np.testing.assert_array_equal(builds[0][0], query.odom_means[new_steps])
+        np.testing.assert_array_equal(builds[0][1], query.odom_covs[new_steps])
+        builds.clear()
+        measured.clear()
 
-    monkeypatch.setattr(tasks_mod, "build_transitions", counting_build)
+    monkeypatch.setattr(motion_mod, "build_transitions", counting_build)
     monkeypatch.setattr(tasks_mod, "descriptor_distances", counting_measure)
     max_steps, final = 6, len(_query) - 1
-    batch = run_wakeup_batch(_map, _query, 120, 7, max_steps, _params)
-    covered = sorted(
-        {t for r in batch for t in range(r.start, min(r.start + max_steps, final) + 1)}
-    )
+    query = fresh_query(_query)
+    first = run_wakeup_batch(_map, query, 40, 7, max_steps, _params)
+    covered = sorted(covered_frames(first, max_steps, final))
     assert len(covered) < len(_query)  # the batch leaves frames out, so rows are chosen
-    assert_one_call_over(np.array(covered))
+    first_steps = trial_steps(first, max_steps, final)
+    assert_one_call(query, np.array(covered), first_steps)
+
+    second = run_wakeup_batch(_map, query, 40, 8, max_steps, _params)
+    covered = sorted(covered_frames(second, max_steps, final))
+    second_steps = trial_steps(second, max_steps, final)
+    new_steps = np.setdiff1d(second_steps, first_steps)
+    assert 0 < len(new_steps) < len(second_steps)  # the batches overlap, so steps are reused
+    assert_one_call(query, np.array(covered), new_steps)
 
     # a trial alone reads start..start + max_steps and nothing beyond
-    builds.clear()
-    measured.clear()
-    run_wakeup(_map, _query, 40, max_steps, _params)
-    assert_one_call_over(np.arange(40, 47))
+    query = fresh_query(_query)
+    run_wakeup(_map, query, 40, max_steps, _params)
+    assert_one_call(query, np.arange(40, 47), np.arange(40, 46))
+    # its steps are held now: a second trial over them builds nothing
+    run_wakeup(_map, query, 41, max_steps - 1, _params)
+    assert builds == []
 
 
 def test_inference_reads_the_columns_not_the_frame_view(monkeypatch):

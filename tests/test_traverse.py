@@ -13,7 +13,7 @@ from topoloc.simulate import builtin_scenarios, generate_world, render_traverse
 from topoloc.tasks import PipelineParams, run_lcd
 from topoloc.traverse import Traverse
 
-import topoloc.tasks as tasks_mod
+import topoloc.motion as motion_mod
 
 
 @pytest.fixture(scope="module")
@@ -47,17 +47,18 @@ def test_frames_agree_exactly_with_columns(s2_small):
 
 
 def test_view_steps_build_the_models_run_lcd_builds(s2_small, monkeypatch):
-    # run_lcd reads the columns; each view step builds the same model from them
+    # run_lcd builds through the query's store, from the columns; each view step
+    # builds the same model from them
     map_, query = s2_small
     params = PipelineParams()
     built = []
-    build = tasks_mod.build_transitions
+    build = motion_mod.build_transitions
 
     def recording_build(m, means, covs, p):
         built.append(build(m, means, covs, p))
         return built[-1]
 
-    monkeypatch.setattr(tasks_mod, "build_transitions", recording_build)
+    monkeypatch.setattr(motion_mod, "build_transitions", recording_build)
     run_lcd(map_, query, params)
     (stack,) = built
     assert len(stack) == len(query) - 1
