@@ -4,9 +4,8 @@ A record's fields are the keys of a JSON object, in declaration order.
 :func:`read_record` rejects unknown keys, allows a key to be missing only
 when its field has a default, and casts each value by its annotation:
 ``float`` takes a finite number, ``int`` an integral one, ``bool`` only
-``true``/``false``, ``str`` a string, a bare ``list`` any array (its consumer
-checks the items); ``X | None``, nested records and tuples compose from
-those.  Each class's casts are resolved once.
+``true``/``false`` and ``str`` a string; ``X | None``, nested records and
+tuples compose from those.  Each class's casts are resolved once.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ _SCALARS = {
     int: _int,
     bool: _exact(bool, "true or false"),
     str: _exact(str, "a string"),
-    list: _exact(list, "an array"),
 }
 
 

@@ -1,9 +1,11 @@
 """Per-stage timing of the inference hot path on a synthetic problem.
 
-The benchmark times the four per-step stages in isolation: building the
-transition model from an odometry step, evaluating the measurement
-likelihood, one forward update, and one backward smoothing update.  The map
-is a straight line at fixed spacing so problem size is controlled exactly.
+The benchmark times the four per-step stages in isolation, each as the
+whole-query passes run it: building one step's transition stack from an
+odometry row, evaluating the measurement likelihood, one forward update as
+``run_forward`` makes it, and one backward update as ``smooth_pass`` makes
+it, both through one :class:`~topoloc.motion.BandKernel` per run.  The map is
+a straight line at fixed spacing so problem size is controlled exactly.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import time
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Covariance3, OdometryStep, Pose2
+from .filtering import _normalize, forward_init, init_belief
 from .mapping import TopometricMap
 from .measurement import MeasurementParams, likelihood_vector
-from .motion import MotionParams, build_transition_model
-from .filtering import forward_step, init_belief
+from .motion import BandKernel, MotionParams, build_transitions
 
 __all__ = ["make_synthetic_problem", "run_benchmark"]
 
@@ -29,9 +30,9 @@ def make_synthetic_problem(
 ):
     """A straight-line map plus ``n_inputs`` odometry steps and query descriptors.
 
-    Returns ``(map_, steps, queries)`` where ``steps`` is a list of
-    :class:`OdometryStep` and ``queries`` a float32 array of shape
-    ``(n_inputs, dim)``.
+    Returns ``(map_, means, covs, queries)``: the odometry as a traverse
+    holds it, ``(n_inputs, 3)`` means and ``(n_inputs, 3, 3)`` covariances,
+    and the float32 ``(n_inputs, dim)`` query descriptors.
     """
     if not (2 <= window <= n_nodes and dim >= 1 and n_inputs >= 1 and seed >= 0):
         raise ConfigError(
@@ -49,15 +50,14 @@ def make_synthetic_problem(
         band[: n_nodes - k, k] = (spacing * k, 0.0, 0.0)
     map_ = TopometricMap(descriptors, band, node_spacing=spacing)
 
-    cov = Covariance3.from_diagonal(0.05**2, 0.05**2, 0.02**2)
-    jitters = [rng.normal(scale=(0.05, 0.05, 0.01)) for _ in range(n_inputs)]
-    steps = [OdometryStep(Pose2(spacing + dx, dy, dtheta), cov) for dx, dy, dtheta in jitters]
+    means = rng.normal(scale=(0.05, 0.05, 0.01), size=(n_inputs, 3)) + (spacing, 0.0, 0.0)
+    covs = np.broadcast_to(np.diag([0.05**2, 0.05**2, 0.02**2]), (n_inputs, 3, 3))
 
     nodes = rng.integers(0, n_nodes, size=n_inputs)
     noise = 0.1 * rng.standard_normal((n_inputs, dim))
     queries = map_.descriptors_f64[nodes] + noise
     queries /= np.linalg.norm(queries, axis=1, keepdims=True)
-    return map_, steps, queries.astype(np.float32)
+    return map_, means, covs, queries.astype(np.float32)
 
 
 def run_benchmark(
@@ -70,30 +70,34 @@ def run_benchmark(
     """Time each per-step stage ``repeats`` times and summarize in milliseconds."""
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    map_, steps, queries = make_synthetic_problem(
+    map_, means, covs, queries = make_synthetic_problem(
         n_nodes, dim, window=window, seed=seed, n_inputs=repeats
     )
     motion_params = MotionParams()
     meas_params = MeasurementParams(lam=1.0)
 
-    # warm up caches (segment table, BLAS) outside the timed region
-    warm_model = build_transition_model(map_, steps[0], motion_params)
-    warm_g = likelihood_vector(queries[0], map_, meas_params)
-    alpha = init_belief(map_.n_nodes, 0.1).vector
-    alpha, _ = forward_step(alpha, warm_model, warm_g)
+    # fill the per-map caches (edge_geometry, edge_features), BLAS and the kernel's scratch
+    # outside the timed region; one kernel per run, as each pass holds one
+    stack = build_transitions(map_, means[:1], covs[:1], motion_params)
+    g = likelihood_vector(queries[0], map_, meas_params)
+    band = BandKernel(map_.window, map_.n_nodes)
+    alpha, _ = forward_init(init_belief(map_.n_nodes, 0.1), g)
+    beta = np.ones(map_.n_nodes + 1)  # the terminal message: later ones cost the same
+    band.forward(stack, 0, alpha)
+    band.backward(stack, 0, beta)
 
     ticks = np.empty((repeats, 5))  # before and after each stage
     for r in range(repeats):
         ticks[r, 0] = time.perf_counter()
-        model = build_transition_model(map_, steps[r], motion_params)
+        stack = build_transitions(map_, means[r : r + 1], covs[r : r + 1], motion_params)
         ticks[r, 1] = time.perf_counter()
         g = likelihood_vector(queries[r], map_, meas_params)
         ticks[r, 2] = time.perf_counter()
-        alpha, c = forward_step(alpha, model, g)
+        raw = band.forward(stack, 0, alpha)
+        raw *= g
+        alpha, c = _normalize(raw, step=None)
         ticks[r, 3] = time.perf_counter()
-        beta = np.ones_like(alpha)
-        weighted = g * beta
-        beta = model.backpropagate(weighted) / c
+        band.backward(stack, 0, g * beta) / c
         ticks[r, 4] = time.perf_counter()
 
     ms = dict(zip(("motion", "measurement", "forward", "backward"), 1e3 * np.diff(ticks).T))

@@ -71,10 +71,6 @@ class Belief:
         object.__setattr__(self, "off", float(self.off))
 
     @property
-    def n_nodes(self) -> int:
-        return self.within.size
-
-    @property
     def vector(self) -> np.ndarray:
         return np.concatenate([self.within, [self.off]])
 

@@ -35,18 +35,15 @@ def wrap_angle(theta):
 
     Returns
     -------
-    float or ndarray
-        Wrapped angle(s), same shape as the input.
+    ndarray
+        Wrapped angle(s), same shape as the input (a numpy scalar for a scalar).
     """
     arr = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap_angle requires finite input")
     shifted = np.fmod(arr + math.pi, _TWO_PI)
     shifted = np.where(shifted <= 0.0, shifted + _TWO_PI, shifted)
-    wrapped = shifted - math.pi
-    if np.isscalar(theta) or arr.ndim == 0:
-        return float(wrapped)
-    return wrapped
+    return shifted - math.pi
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,14 +61,10 @@ class Pose2:
     def __post_init__(self):
         object.__setattr__(self, "dx", float(self.dx))
         object.__setattr__(self, "dy", float(self.dy))
-        object.__setattr__(self, "dtheta", wrap_angle(float(self.dtheta)))
+        object.__setattr__(self, "dtheta", float(wrap_angle(self.dtheta)))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dtheta], dtype=float)
-
-    @property
-    def translation_norm(self) -> float:
-        return math.hypot(self.dx, self.dy)
 
 
 def compose_poses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,10 +102,10 @@ def inverse_poses(a: np.ndarray) -> np.ndarray:
 
 
 def translation_norms(poses: np.ndarray) -> np.ndarray:
-    """``hypot(dx, dy)`` of each pose row, rounded as :attr:`Pose2.translation_norm` is.
+    """``hypot(dx, dy)`` of each pose row, by ``math.hypot``.
 
-    ``math.hypot`` on each row: ``np.hypot`` rounds differently on some
-    inputs, and accumulated step lengths must not depend on the layout.
+    ``np.hypot`` rounds differently on some inputs; ``math.hypot`` on each
+    row keeps accumulated step lengths the same bits for any layout.
     """
     dx, dy = poses[:, 0].tolist(), poses[:, 1].tolist()
     return np.fromiter(map(math.hypot, dx, dy), float, len(dx))
@@ -149,11 +142,12 @@ def validated_covariances(m: np.ndarray, name) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Covariance3:
-    """A validated 3x3 covariance over ``(x, y, theta)``.
+    """A validated 3x3 covariance over ``(x, y, theta)``, frozen read-only.
 
     Construction fails with ``DataError`` unless the matrix is finite,
-    symmetric (to 1e-12) and positive definite.  The precision matrix (inverse) is computed once and
-    cached; both arrays are frozen read-only.
+    symmetric (to 1e-12) and positive definite, by
+    :func:`validated_covariances`, and keeps it symmetrised.  Precisions are
+    not kept: ``motion.build_transitions`` inverts a stack's covariances at once.
     """
 
     matrix: np.ndarray
@@ -161,20 +155,8 @@ class Covariance3:
     def __post_init__(self):
         m = np.asarray(self.matrix)[None]
         m = validated_covariances(m, lambda k: "covariance")[0]
-        prec = np.linalg.inv(m)
-        prec = 0.5 * (prec + prec.T)
         m.setflags(write=False)
-        prec.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_precision", prec)
-
-    @property
-    def precision(self) -> np.ndarray:
-        return self._precision
-
-    @classmethod
-    def from_diagonal(cls, var_x: float, var_y: float, var_theta: float) -> "Covariance3":
-        return cls(np.diag([float(var_x), float(var_y), float(var_theta)]))
 
     def to_upper(self) -> list[float]:
         """Upper-triangular entries in row-major order (xx, xy, xt, yy, yt, tt)."""
@@ -246,14 +228,12 @@ def chi2_cdf_3(d2):
     Uses the closed form ``F(x) = erf(sqrt(x/2)) - sqrt(2/pi) * sqrt(x) *
     exp(-x/2)`` rather than a generic incomplete-gamma routine, keeping the
     result dependency-light and bit-deterministic.  Accepts a scalar or an
-    ndarray; negative or NaN input is rejected.
+    ndarray and returns the input's shape (a numpy scalar for a scalar);
+    negative or NaN input is rejected.
     """
     arr = np.asarray(d2, dtype=float)
     if np.any(np.isnan(arr)) or np.any(arr < 0.0):
         raise ValueError("chi2_cdf_3 requires non-negative input")
     half = 0.5 * arr
     val = erf(np.sqrt(half)) - math.sqrt(2.0 / math.pi) * np.sqrt(arr) * np.exp(-half)
-    val = np.clip(val, 0.0, 1.0)
-    if np.isscalar(d2) or arr.ndim == 0:
-        return float(val)
-    return val
+    return np.clip(val, 0.0, 1.0)

@@ -63,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blocks import run_blocks
+from .errors import DataError
 from .geometry import OdometryStep, chi2_cdf_3, min_mahalanobis_on_directed_segments
 from .mapping import TopometricMap
 
@@ -179,37 +180,22 @@ class TransitionStack:
         return len(self.off_self)
 
     def __getitem__(self, s: int) -> "TransitionModel":
-        return TransitionModel.__new__(TransitionModel)._bind(self, s)
+        return TransitionModel(self, s)
 
 
 class TransitionModel:
-    """One step's banded transition structure over ``N`` nodes plus off-map.
+    """Step ``s`` of a :class:`TransitionStack`: banded transitions over ``N`` nodes plus off-map.
 
     Storage is by diagonal offset: ``within_probs[k, i]`` is the probability
     of ``i -> i + k`` (offset 0 exists only as the final node's
     self-transition), ``to_off[i]`` the probability of ``i -> off``.  The
     off-map row is ``off_self`` on itself and uniform ``(1 - off_self) / N``
-    into each node; see :meth:`off_out`.  Rows must sum to one within 1e-9.
-
-    Propagation is :class:`BandKernel`'s, never forming the dense matrix.
-    Constructing one checks it as a stack of one step; :class:`TransitionStack`
-    hands out steps already checked.
+    into each node.  The stack checked the rows; this is a read-only view of
+    them, and :meth:`propagate` is :class:`BandKernel`'s, never forming the
+    dense matrix.
     """
 
-    def __init__(
-        self,
-        within_probs: np.ndarray,
-        to_off: np.ndarray,
-        off_self: float,
-        valid: np.ndarray,
-    ):
-        within_probs = np.asarray(within_probs, dtype=float)
-        if within_probs.ndim != 2:
-            raise ValueError("within_probs must be (window, N)")
-        to_off = np.asarray(to_off, dtype=float)[None]
-        self._bind(TransitionStack(within_probs[None], to_off, [off_self], valid), 0)
-
-    def _bind(self, stack: TransitionStack, s: int) -> "TransitionModel":
+    def __init__(self, stack: TransitionStack, s: int):
         self._stack, self._s = stack, s
         self.within_probs = stack.within_probs[s]
         self.to_off = stack.to_off[s]
@@ -217,24 +203,12 @@ class TransitionModel:
         self.valid = stack.valid
         self.n_nodes = stack.n_nodes
         self.window = stack.window
-        return self
-
-    @property
-    def off_out(self) -> float:
-        """Per-node probability of leaving the off-map state into the map."""
-        return (1.0 - self.off_self) / self.n_nodes
 
     def propagate(self, alpha: np.ndarray) -> np.ndarray:
         """Row-vector product ``alpha @ E``; ``alpha`` has length ``N + 1``, off-map last."""
         if alpha.shape != (self.n_nodes + 1,):
             raise ValueError(f"alpha must have shape ({self.n_nodes + 1},)")
         return BandKernel(self.window, self.n_nodes).forward(self._stack, self._s, alpha)
-
-    def backpropagate(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product ``E @ v`` over the banded structure."""
-        if v.shape != (self.n_nodes + 1,):
-            raise ValueError(f"v must have shape ({self.n_nodes + 1},)")
-        return BandKernel(self.window, self.n_nodes).backward(self._stack, self._s, v)
 
 
 class BandKernel:
@@ -309,7 +283,9 @@ def build_transitions(
     same-shaped product per step, so step ``s``'s model depends on its own
     rows only and any slice of the rows builds the same models bit for bit.
     Each pass checks the steps it built, so the stack is not checked a second
-    time.
+    time.  A step whose ``d2`` overflows to NaN, or to +inf on every edge of
+    a node (a covariance far too small for its mean), raises ``DataError``
+    before its softmax.
     ``no_odom`` ignores both arrays and repeats one model ``S`` times.
     """
     n = map_.n_nodes
@@ -338,13 +314,21 @@ def build_transitions(
 
     def build(lo, hi):
         part = slice(lo, hi)
-        d2 = _edge_d2(map_, odom_means[part], precs[part])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            d2 = _edge_d2(map_, odom_means[part], precs[part])
         # d2 table by diagonal offset, +inf off the edge set (offset 0: the stay column)
         table = within[part]
         table[:, 0] = barrier[0]
         table[:, 0, n - 1] = d2[:, -1]
         np.add(d2[:, :-1].reshape(len(d2), -1, n), barrier[1:], out=table[:, 1:])
-        min_d2 = table.min(axis=1)
+        min_d2 = table.min(axis=1)  # NaN where any entry of d2 is, +inf where a node's all are
+        bad = ~np.isfinite(min_d2).all(axis=1)
+        if bad.any():
+            mean = odom_means[lo + int(np.argmax(bad))].tolist()
+            raise DataError(
+                f"odometry step {mean} overflows its squared Mahalanobis distance "
+                "to the map: its covariance is too small for its mean"
+            )
         if params.mode == "full":
             to_off[part] = chi2_cdf_3(min_d2)
 

@@ -230,10 +230,16 @@ def covariance_from_upper(entries) -> Covariance3:
     return Covariance3(np.array([[xx, xy, xt], [xy, yy, yt], [xt, yt, tt]]))
 
 
+def precision(sigma: Covariance3) -> np.ndarray:
+    """The inverse of a covariance, symmetrised as ``motion.build_transitions`` forms it."""
+    prec = np.linalg.inv(sigma.matrix)
+    return 0.5 * (prec + prec.T)
+
+
 def mahalanobis_sq(x: Pose2, mu: Pose2, sigma: Covariance3) -> float:
     """Squared Mahalanobis distance of ``x`` from ``mu``, angular residual wrapped."""
     r = np.array([x.dx - mu.dx, x.dy - mu.dy, wrap_angle(x.dtheta - mu.dtheta)])
-    return float(r @ sigma.precision @ r)
+    return float(r @ precision(sigma) @ r)
 
 
 def min_mahalanobis_on_segments(lo, hi, mu, sigma: Covariance3):
@@ -244,7 +250,7 @@ def min_mahalanobis_on_segments(lo, hi, mu, sigma: Covariance3):
     u, degenerate = segment_directions(lo.T, hi.T)
     if isinstance(mu, Pose2):
         mu = mu.as_array()
-    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, sigma.precision)
+    return min_mahalanobis_on_directed_segments(lo.T, u, degenerate, mu, precision(sigma))
 
 
 def min_mahalanobis_on_segment(a: Pose2, b: Pose2, mu: Pose2, sigma: Covariance3):
@@ -312,6 +318,11 @@ def within(model, i: int) -> list[tuple[int, float]]:
     ]
 
 
+def off_out(model) -> float:
+    """Per-node probability of leaving the off-map state into the map."""
+    return (1.0 - model.off_self) / model.n_nodes
+
+
 def to_dense(model) -> np.ndarray:
     """A transition model as its dense ``(N+1, N+1)`` matrix."""
     n = model.n_nodes
@@ -320,7 +331,7 @@ def to_dense(model) -> np.ndarray:
         for j, p in within(model, i):
             dense[i, j] = p
     dense[:n, n] = model.to_off
-    dense[n, :n] = model.off_out
+    dense[n, :n] = off_out(model)
     dense[n, n] = model.off_self
     return dense
 
@@ -335,7 +346,7 @@ def slice_propagate(model, alpha: np.ndarray) -> np.ndarray:
             pred[:n] += within * model.within_probs[0]
         else:
             pred[k:n] += within[: n - k] * model.within_probs[k, : n - k]
-    pred[:n] += alpha[n] * model.off_out
+    pred[:n] += alpha[n] * off_out(model)
     pred[n] = within @ model.to_off + alpha[n] * model.off_self
     return pred
 
@@ -351,7 +362,7 @@ def slice_backpropagate(model, v: np.ndarray) -> np.ndarray:
         else:
             out[: n - k] += model.within_probs[k, : n - k] * v_within[k:]
     out[:n] += model.to_off * v[n]
-    out[n] = model.off_self * v[n] + model.off_out * v_within.sum()
+    out[n] = model.off_self * v[n] + off_out(model) * v_within.sum()
     return out
 
 

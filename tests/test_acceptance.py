@@ -32,7 +32,7 @@ from topoloc.simulate import (
 from topoloc.tasks import PipelineParams, run_lcd, run_wakeup_batch
 
 from oracles import chi2_cdf_3_quad, enumerate_marginals, grid_min_mahalanobis
-from oracles import min_mahalanobis_on_segment
+from oracles import min_mahalanobis_on_segment, off_out, precision
 from oracles import random_banded_model
 from test_filtering import dense_to_stack
 
@@ -92,7 +92,7 @@ def test_2_motion_geometry_matches_oracles(capsys):
         u[2] = wrap_angle(hi[2] - lo[2])
         r0 = np.asarray(mu, dtype=float) - lo
         r0[2] = wrap_angle(mu[2] - lo[2])
-        ref_d2, _ = grid_min_mahalanobis(np.zeros(3), u, r0, cov.precision)
+        ref_d2, _ = grid_min_mahalanobis(np.zeros(3), u, r0, precision(cov))
         worst_segment = max(worst_segment, abs(d2 - ref_d2))
 
     worst_cdf = max(
@@ -108,7 +108,7 @@ def test_2_motion_geometry_matches_oracles(capsys):
             model = build_transition_model(m, fr.odom, MotionParams())
             sums = model.within_probs.sum(axis=0) + model.to_off
             worst_row = max(worst_row, float(np.abs(sums - 1.0).max()))
-            off_row = model.off_self + model.off_out * m.n_nodes
+            off_row = model.off_self + off_out(model) * m.n_nodes
             worst_row = max(worst_row, abs(off_row - 1.0))
 
     elapsed = time.perf_counter() - t0

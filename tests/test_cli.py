@@ -132,6 +132,25 @@ def test_string_and_bool_odometry_exit_3(tmp_path, smoke_dir, capsys):
     assert "frame 1: odom.mean[0]: expected a finite number" in _one_error_line(capsys, "data")
 
 
+@pytest.mark.parametrize("mode", ["full", "no_off"])
+@pytest.mark.parametrize("task", ["lcd", "wakeup"])
+def test_overflowing_odometry_exits_3(tmp_path, smoke_dir, capsys, task, mode):
+    # a reader-valid step whose squared Mahalanobis distance to every edge overflows
+    data = smoke_dir / "data"
+    lines = (data / "query.jsonl").read_text().splitlines()
+    rec = json.loads(lines[5])
+    rec["odom"] = {"mean": [100.0, 0.0, 0.0], "cov": [1e-306, 0, 0, 1e-306, 0, 1e-306]}
+    lines[5] = json.dumps(rec)
+    (tmp_path / "q.jsonl").write_text("\n".join(lines) + "\n")
+    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"filter": {"mode": mode}}))
+    code = main([task, "--map", str(data / "map.json"), "--query", str(tmp_path / "q.jsonl"),
+                 "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg)])
+    assert code == 3
+    assert "odometry step [100.0, 0.0, 0.0] overflows" in _one_error_line(capsys, "data")
+
+
 @pytest.mark.parametrize("sidecar", ["query", "map"])
 def test_nan_descriptor_exits_3(tmp_path, smoke_dir, sidecar):
     data = smoke_dir / "data"

@@ -27,14 +27,14 @@ from topoloc.filtering import (
 from topoloc.geometry import Pose2
 from topoloc.mapping import TopometricMap, build_map
 from topoloc.measurement import MeasurementParams, calibrate_lambda, likelihood_vector
-from topoloc.motion import MotionParams, TransitionModel, TransitionStack, build_transitions
+from topoloc.motion import MotionParams, TransitionStack, build_transitions
 from topoloc.simulate import builtin_scenarios, simulate_scenario
 
 from oracles import enumerate_marginals, random_banded_model, to_dense
 
 
 def dense_to_model(m, window=3):
-    """Repackage one of the oracle's dense matrices as a TransitionModel."""
+    """Repackage one of the oracle's dense matrices as a one-step model."""
     n = m.shape[0] - 1
     probs = np.zeros((window, n))
     valid = np.zeros((window, n), dtype=bool)
@@ -47,7 +47,7 @@ def dense_to_model(m, window=3):
         if not valid[:, i].any():
             valid[0, i] = True  # terminal self-loop slot
             probs[0, i] = m[i, i]
-    return TransitionModel(probs, m[:n, n].copy(), float(m[n, n]), valid)
+    return TransitionStack(probs[None], m[None, :n, n], [m[n, n]], valid)[0]
 
 
 def dense_to_stack(transitions, n, window=3):
@@ -141,12 +141,12 @@ def test_uninformative_future_leaves_filtered_untouched():
     # With the forward-only band the smallest doubly stochastic instance is
     # one node plus off: node keeps a, leaks 1-a; off returns 1-a, keeps a.
     a = 0.7
-    model = TransitionModel(
-        np.array([[a]]),
-        np.array([1.0 - a]),
-        a,
+    model = TransitionStack(
+        np.array([[[a]]]),
+        np.array([[1.0 - a]]),
+        [a],
         np.ones((1, 1), dtype=bool),
-    )
+    )[0]
     dense = to_dense(model)
     assert np.allclose(dense.sum(axis=0), 1.0) and np.allclose(dense.sum(axis=1), 1.0)
     prior = init_belief(1, 0.35)

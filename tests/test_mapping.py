@@ -24,7 +24,7 @@ def straight_reference(n_frames, spacing=1.0, dim=8):
         if t > 0:
             odom = OdometryStep(
                 Pose2(spacing, 0.0, 0.0),
-                Covariance3.from_diagonal(0.01, 0.01, 0.001),
+                Covariance3(np.diag([0.01, 0.01, 0.001])),
             )
         frames.append((desc, odom, Pose2(t * spacing, 0.0, 0.0)))
     return traverse_of(frames)
@@ -134,7 +134,7 @@ def test_build_map_curved_keeps_arc_spacing():
         odom = None
         if prev is not None:
             odom = OdometryStep(
-                relative(prev, pose), Covariance3.from_diagonal(0.01, 0.01, 0.001)
+                relative(prev, pose), Covariance3(np.diag([0.01, 0.01, 0.001]))
             )
         frames.append((desc, odom, pose))
         prev = pose

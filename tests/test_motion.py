@@ -13,11 +13,11 @@ from topoloc.geometry import (
     min_mahalanobis_on_directed_segments,
 )
 from topoloc import motion
+from topoloc.errors import DataError
 from topoloc.mapping import TopometricMap
 from topoloc.motion import (
     MOTION_MODES,
     MotionParams,
-    TransitionModel,
     TransitionStack,
     build_transition_model,
     build_transitions,
@@ -27,6 +27,8 @@ from oracles import (
     mahalanobis_sq,
     min_mahalanobis_on_segment,
     min_mahalanobis_on_segments,
+    off_out,
+    precision,
     relative,
     segment_endpoint_rows,
     segment_endpoints,
@@ -86,7 +88,7 @@ def line_map(n=12, spacing=2.0, window=5):
 
 def step(dx, dy=0.0, dtheta=0.0, sx=0.1, sy=0.1, st=0.05):
     return OdometryStep(
-        Pose2(dx, dy, dtheta), Covariance3.from_diagonal(sx**2, sy**2, st**2)
+        Pose2(dx, dy, dtheta), Covariance3(np.diag([sx**2, sy**2, st**2]))
     )
 
 
@@ -202,14 +204,17 @@ def test_full_mode_requires_odometry():
 
 def test_propagate_agrees_with_dense_product():
     m = line_map()
-    model = build_transition_model(m, step(2.5, 0.1), MotionParams())
+    odom = step(2.5, 0.1)
+    stack = build_transitions(m, odom.mean.as_array()[None], odom.cov.matrix[None], MotionParams())
+    model = stack[0]
     rng = np.random.default_rng(4)
     alpha = rng.uniform(size=m.n_nodes + 1)
     alpha /= alpha.sum()
     dense = to_dense(model)
     assert np.allclose(model.propagate(alpha), alpha @ dense, atol=1e-12)
     v = rng.uniform(size=m.n_nodes + 1)
-    assert np.allclose(model.backpropagate(v), dense @ v, atol=1e-12)
+    backward = motion.BandKernel(stack.window, stack.n_nodes).backward(stack, 0, v)
+    assert np.allclose(backward, dense @ v, atol=1e-12)
 
 
 def random_band_stack(rng, n, window, steps):
@@ -252,7 +257,6 @@ def test_band_kernel_equals_slice_loops_bit_for_bit(seed, n, window):
             assert np.array_equal(band.forward(stack, s, msg), want_forward)
             assert np.array_equal(band.backward(stack, s, msg), want_backward)
             assert np.array_equal(model.propagate(msg), want_forward)
-            assert np.array_equal(model.backpropagate(msg), want_backward)
 
 
 def test_band_kernel_on_a_built_map_keeps_the_stay_column():
@@ -276,8 +280,6 @@ def test_propagation_rejects_mismatched_messages():
     for bad in (np.ones(n), np.ones(n + 2), np.ones((1, n + 1))):
         with pytest.raises(ValueError, match="alpha must have shape"):
             model.propagate(bad)
-        with pytest.raises(ValueError, match="v must have shape"):
-            model.backpropagate(bad)
 
 
 def test_model_stores_band_not_square():
@@ -324,7 +326,7 @@ def test_cached_edge_geometry_matches_raw_segment_kernel():
     for odom in (step(2.0), step(0.0, 0.0, 0.0), step(4.1, -0.3, 3.1), step(1.0, 2.0, -2.0)):
         d2_raw, s_raw = min_mahalanobis_on_segments(raw_lo, raw_hi, odom.mean, odom.cov)
         d2, s = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom.mean.as_array(), odom.cov.precision
+            starts, u, degenerate, odom.mean.as_array(), precision(odom.cov)
         )
         assert np.array_equal(d2[:k], d2_raw)
         assert np.array_equal(s[:k], s_raw)
@@ -341,7 +343,7 @@ def test_stay_column_scores_identity_pose():
     steps += [OdometryStep(Pose2(0.4, -0.3, t), correlated) for t in (3.1, -3.1)]
     for odom in steps:
         d2, _ = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom.mean.as_array(), odom.cov.precision
+            starts, u, degenerate, odom.mean.as_array(), precision(odom.cov)
         )
         want = mahalanobis_sq(Pose2(0.0, 0.0, 0.0), odom.mean, odom.cov)
         # same arithmetic up to summation order and the sign of the residual
@@ -353,7 +355,7 @@ def test_stay_column_scores_identity_pose():
     for t in (np.pi, -np.pi, 3 * np.pi):
         odom = OdometryStep(Pose2(0.4, -0.3, t), correlated)
         d2, _ = min_mahalanobis_on_directed_segments(
-            starts, u, degenerate, odom.mean.as_array(), odom.cov.precision
+            starts, u, degenerate, odom.mean.as_array(), precision(odom.cov)
         )
         want = mahalanobis_sq(odom.mean, Pose2(0.0, 0.0, 0.0), odom.cov)
         assert d2[-1] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -362,16 +364,29 @@ def test_stay_column_scores_identity_pose():
 
 
 def test_transition_model_validation():
-    with pytest.raises(ValueError):
-        TransitionModel(
-            np.array([[0.5]]), np.array([0.4]), 0.9, np.ones((1, 1), dtype=bool)
+    with pytest.raises(ValueError, match="sum to 1"):
+        TransitionStack(
+            np.array([[[0.5]]]), np.array([[0.4]]), [0.9], np.ones((1, 1), dtype=bool)
         )  # row sums to 0.9
-    with pytest.raises(ValueError):
-        TransitionModel(
-            np.array([[0.5]]), np.array([0.5]), 1.5, np.ones((1, 1), dtype=bool)
+    with pytest.raises(ValueError, match="off_self"):
+        TransitionStack(
+            np.array([[[0.5]]]), np.array([[0.5]]), [1.5], np.ones((1, 1), dtype=bool)
         )
     with pytest.raises(ValueError):
         build_transition_model(line_map(), step(2.0), MotionParams(mode="sideways"))
+
+
+@pytest.mark.parametrize("heading", [0.0, 3.0], ids=["expanded", "exact"])
+@pytest.mark.parametrize("mode", ["full", "no_off"])
+def test_overflowing_mahalanobis_distance_is_a_data_error(mode, heading):
+    # far from every edge under a tiny covariance, d2 overflows, and the
+    # expanded kernel's q - s (2 num - s den) turns inf - inf into NaN
+    m = line_map()
+    means = np.array([[2.0, 0.0, 0.0], [100.0, 0.0, heading]])
+    covs = np.stack([np.diag([0.01, 0.01, 0.0025]), 1e-306 * np.eye(3)])
+    with pytest.raises(DataError, match=rf"odometry step \[100.0, 0.0, {heading}\]"):
+        build_transitions(m, means, covs, MotionParams(mode=mode))
+    assert len(build_transitions(m, means, covs, MotionParams(mode="no_odom"))) == 2
 
 
 def test_gate_saturates_when_odometry_contradicts_map():
@@ -437,7 +452,7 @@ def test_stacked_models_equal_one_step_models(problem, mode):
         assert np.array_equal(stack.to_off[s], one.to_off)
         assert stack[s].off_self == one.off_self
         assert np.array_equal(stack[s].valid, one.valid)
-        assert abs(stack[s].off_self + stack[s].off_out * m.n_nodes - 1.0) < 1e-9
+        assert abs(stack[s].off_self + off_out(stack[s]) * m.n_nodes - 1.0) < 1e-9
     rows = stack.within_probs.sum(axis=1) + stack.to_off
     assert np.abs(rows - 1.0).max() < 1e-9
 

@@ -1,5 +1,7 @@
 """Synthetic world generation and traverse rendering."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,7 +56,8 @@ def test_reported_covariance_inflation_and_floor():
     tr = render_traverse(w, route, seed=0)
     cov = tr.frames[1].odom.cov.matrix
     # per-meter sigmas scale the standard deviation with the true step length
-    step_len = relative(tr.frames[0].gt_pose, tr.frames[1].gt_pose).translation_norm
+    rel = relative(tr.frames[0].gt_pose, tr.frames[1].gt_pose)
+    step_len = math.hypot(rel.dx, rel.dy)
     expect_xy = 4.0 * (0.02 * step_len) ** 2 + 0.05**2
     expect_th = 4.0 * (0.004 * step_len) ** 2 + 0.02**2
     assert cov[0, 0] == pytest.approx(expect_xy, rel=1e-9)

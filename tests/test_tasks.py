@@ -9,7 +9,7 @@ from topoloc.errors import DataError
 from topoloc.evaluate import label_ground_truth
 from topoloc.mapping import build_map
 from topoloc.measurement import MeasurementParams
-from topoloc.motion import MotionParams
+from topoloc.motion import MotionParams, TransitionStore
 from topoloc.simulate import builtin_scenarios, noiseless_scenario, simulate_scenario
 from topoloc.tasks import (
     PipelineParams,
@@ -210,6 +210,31 @@ def test_wakeup_batch_builds_each_frame_once(monkeypatch):
     # its steps are held now: a second trial over them builds nothing
     run_wakeup(_map, query, 41, max_steps - 1, _params)
     assert builds == []
+
+
+def test_tasks_ask_for_the_kept_models_before_their_own_arrays(monkeypatch):
+    # peak RSS follows allocation order: with the store asked after the
+    # likelihoods, lcd-s2 re-faulted about 20 MB per operation, and a wakeup
+    # batch's distances made before its stack raised S2 peak RSS by 15 MB
+    import topoloc.tasks as tasks_mod
+
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(TransitionStore, "stack", recording("stack", TransitionStore.stack))
+    for name in ("likelihood_vector", "descriptor_distances"):
+        monkeypatch.setattr(tasks_mod, name, recording(name, getattr(tasks_mod, name)))
+    run_lcd(_map, fresh_query(_query), _params)
+    assert calls == ["stack", "likelihood_vector"]
+    calls.clear()
+    run_wakeup_batch(_map, fresh_query(_query), 20, 3, 8, _params)
+    assert calls == ["stack", "descriptor_distances"]
 
 
 def test_inference_reads_the_columns_not_the_frame_view(monkeypatch):

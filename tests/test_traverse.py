@@ -114,7 +114,7 @@ def test_construction_names_what_is_wrong(change, match):
 
 def test_columns_are_private_copies():
     desc = np.ones((2, 3))
-    cov = np.stack([Covariance3.from_diagonal(1.0, 1.0, 1.0).matrix])
+    cov = np.stack([Covariance3(np.diag([1.0, 1.0, 1.0])).matrix])
     tr = Traverse(desc, np.zeros((1, 3)), cov)
     desc[0, 0] = 5.0
     assert tr.descriptors[0, 0] == 1.0 and tr.descriptors.dtype == np.float32
