@@ -29,7 +29,14 @@ from ._records import read_record, record_dict
 from .bench import run_benchmark
 from .config import Config
 from .errors import ConfigError, DataError, MeasurementDegenerateError
-from .evaluate import label_ground_truth, recall_at_precision, score_lcd, score_wakeup
+from .evaluate import (
+    LABEL_TOL_DEG,
+    LABEL_TOL_M,
+    label_ground_truth,
+    recall_at_precision,
+    score_lcd,
+    score_wakeup,
+)
 from .mapping import build_map
 from .motion import MOTION_MODES
 from .simulate import (
@@ -42,8 +49,13 @@ from .tasks import run_lcd, run_wakeup_batch
 
 log = logging.getLogger("topoloc")
 
-_TOL_M = 5.0
-_TOL_DEG = 30.0
+
+def _read_settings(path):
+    """A config or scenario file's JSON: one that cannot be read or parsed is a config error."""
+    try:
+        return formats.read_json(path)
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _resolve_scenario(name: str) -> ScenarioSpec:
@@ -53,11 +65,7 @@ def _resolve_scenario(name: str) -> ScenarioSpec:
         return scenarios[name]
     p = Path(name)
     if p.exists():
-        try:
-            raw = formats.read_json(p)
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-        return ScenarioSpec.from_dict(raw, where=str(p))
+        return ScenarioSpec.from_dict(_read_settings(p), where=str(p))
     raise ConfigError(
         f"unknown scenario {name!r}; builtins are {sorted(scenarios)} "
         "and anything else must be a scenario JSON file"
@@ -80,7 +88,7 @@ def _load_config(args) -> Config:
     """Defaults, overridden by ``--config``, overridden by explicit flags."""
     cfg = Config()
     if getattr(args, "config", None):
-        cfg = Config.from_dict(formats.read_json(args.config), where=args.config)
+        cfg = Config.from_dict(_read_settings(args.config), where=args.config)
     for section, key, flag in _OVERRIDES:
         value = getattr(args, flag, None)
         if value is not None:
@@ -121,11 +129,10 @@ def _cmd_build_map(args) -> int:
 
 def _localize(task: str, map_, query, cfg: Config):
     """Run ``lcd`` or a ``wakeup`` batch and return what its results file holds."""
-    params = cfg.filter.pipeline_params()
     if task == "lcd":
-        return run_lcd(map_, query, params)
+        return run_lcd(map_, query, cfg.filter)
     t = cfg.task
-    return run_wakeup_batch(map_, query, t.n_trials, t.seed, t.max_steps, params)
+    return run_wakeup_batch(map_, query, t.n_trials, t.seed, t.max_steps, cfg.filter)
 
 
 def _write_results(task: str, path, results) -> None:
@@ -228,8 +235,8 @@ def _cmd_run(args) -> int:
         scenario=_resolve_scenario(args.scenario),
         seed=args.seed,
         config=_load_config(args),
-        tol_m=_TOL_M,
-        tol_deg=_TOL_DEG,
+        tol_m=LABEL_TOL_M,
+        tol_deg=LABEL_TOL_DEG,
     )
     return _execute_run(manifest, Path(args.out))
 
@@ -315,8 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-curve", required=True, help="precision-recall CSV to write")
     p.add_argument("--out-summary", help="summary JSON to write")
     p.add_argument("--out-labels", help="ground-truth labels JSONL to write")
-    p.add_argument("--tol-m", type=float, default=_TOL_M)
-    p.add_argument("--tol-deg", type=float, default=_TOL_DEG)
+    p.add_argument("--tol-m", type=float, default=LABEL_TOL_M)
+    p.add_argument("--tol-deg", type=float, default=LABEL_TOL_DEG)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("run", help="simulate, map, localize and score in one go")

@@ -1,12 +1,12 @@
 """Ground-truth labeling and precision-recall scoring.
 
 A query frame is labeled within-map when some map node lies within both the
-translation and the heading tolerance of its ground-truth pose (defaults 5 m
-and 30 degrees); only nodes a sweep over x finds near the frame are tested.
-Proposals are judged by ground-truth pose distance, never by node-index
-equality: the label records, per frame, the full set of acceptable nodes.
-Any proposal on a frame labeled off-map counts as a false positive
-regardless of the node.
+translation and the heading tolerance of its ground-truth pose (defaults
+``LABEL_TOL_M`` and ``LABEL_TOL_DEG``); only nodes a sweep over x finds near
+the frame are tested.  Proposals are judged by ground-truth pose distance,
+never by node-index equality: the label records, per frame, the full set of
+acceptable nodes.  Any proposal on a frame labeled off-map counts as a false
+positive regardless of the node.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .tasks import LcdResult, WakeupResult
 from .traverse import Traverse
 
 __all__ = [
+    "LABEL_TOL_DEG",
+    "LABEL_TOL_M",
     "GroundTruthLabel",
     "PrCurve",
     "WakeupScore",
@@ -31,6 +33,10 @@ __all__ = [
     "score_lcd",
     "score_wakeup",
 ]
+
+# Default label tolerances (metres, degrees), also the CLI's for ``eval`` and ``run``.
+LABEL_TOL_M = 5.0
+LABEL_TOL_DEG = 30.0
 
 
 @dataclass(eq=False)
@@ -55,8 +61,8 @@ class GroundTruthLabel:
 def label_ground_truth(
     query: Traverse,
     map_: TopometricMap,
-    tol_m: float = 5.0,
-    tol_deg: float = 30.0,
+    tol_m: float = LABEL_TOL_M,
+    tol_deg: float = LABEL_TOL_DEG,
 ) -> GroundTruthLabel:
     """Label every query frame against the map's ground-truth node poses.
 

@@ -19,15 +19,18 @@ tasks read them from the query's :class:`~topoloc.motion.TransitionStore`:
 each step is built once per query, map and
 :class:`~topoloc.motion.MotionParams` value, by the first run that needs it,
 and later runs and batches read it again.
+
+:class:`PipelineParams` holds every inference setting: a config's ``filter``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._blocks import run_blocks
+from ._records import Record
 from .errors import DataError
 from .filtering import (
     _normalize,
@@ -63,25 +66,45 @@ __all__ = [
 # Trial starts per block of kernel-rate calibrations a thread takes.
 _LAMBDA_BLOCK = 4
 
+_MOTION, _MEASUREMENT = MotionParams(), MeasurementParams()
+
 
 @dataclass(frozen=True)
-class PipelineParams:
-    """Everything inference needs beyond the map and the query."""
+class PipelineParams(Record):
+    """Everything inference needs beyond the map and the query: a config's ``filter``.
 
-    motion: MotionParams = field(default_factory=MotionParams)
-    measurement: MeasurementParams = field(default_factory=MeasurementParams)
+    The motion and measurement keys default to those of :class:`MotionParams`
+    and :class:`MeasurementParams`; each record builds its ``motion`` and
+    ``measurement`` from them, which is where a bad value fails.
+    """
+
+    mode: str = _MOTION.mode
+    off_self: float = _MOTION.off_self
+    no_odom_off: float = _MOTION.no_odom_off
+    lam: float | None = _MEASUREMENT.lam
+    k_frac: float = _MEASUREMENT.k_frac
+    k_min: int = _MEASUREMENT.k_min
+    rho: float = _MEASUREMENT.rho
     p0_off: float = 0.1
     radius_m: float = 3.0
     tau_thres: float = 0.95
     forward_only: bool = False
 
     def __post_init__(self):
+        motion = MotionParams(off_self=self.off_self, mode=self.mode, no_odom_off=self.no_odom_off)
+        meas = MeasurementParams(lam=self.lam, k_frac=self.k_frac, k_min=self.k_min, rho=self.rho)
+        object.__setattr__(self, "motion", motion)  # attributes, not fields: the keys stay eleven
+        object.__setattr__(self, "measurement", meas)
         if not 0.0 <= self.p0_off < 1.0:
             raise ValueError("p0_off must lie in [0, 1)")
         if not self.radius_m >= 0.0:
             raise ValueError("radius_m must be non-negative")
         if not 0.0 <= self.tau_thres <= 1.0:
             raise ValueError("tau_thres must lie in [0, 1]")
+
+    def pipeline_params(self) -> PipelineParams:
+        """This record itself: the benchmark's workloads still ask for it by this name."""
+        return self
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,6 @@ from topoloc.evaluate import label_ground_truth, recall_at_precision, score_lcd
 from topoloc.filtering import Belief, run_forward, smooth_pass
 from topoloc.geometry import Covariance3, Pose2, chi2_cdf_3, wrap_angle
 from topoloc.mapping import build_map
-from topoloc.measurement import MeasurementParams
 from topoloc.motion import MotionParams, build_transition_model
 from topoloc.simulate import (
     builtin_scenarios,
@@ -129,7 +128,7 @@ def test_3_noiseless_end_to_end(capsys):
     spec = noiseless_scenario()
     _, ref, query = simulate_scenario(spec, 0)
     m = build_map(ref, 2.0, 5)
-    params = PipelineParams(measurement=MeasurementParams(rho=6.0))
+    params = PipelineParams(rho=6.0)
     labels = label_ground_truth(query, m)
 
     result = run_lcd(m, query, params)
@@ -176,9 +175,7 @@ def seed_scores():
             query = render_traverse(world, route, seed=seed + 1)
             labels = label_ground_truth(query, map_)
             for name, mode, forward_only in variants:
-                params = PipelineParams(
-                    motion=MotionParams(mode=mode), forward_only=forward_only
-                )
+                params = PipelineParams(mode=mode, forward_only=forward_only)
                 res = run_lcd(map_, query, params)
                 out[f"{prefix}_{name}"].append(
                     recall_at_precision(score_lcd(res, labels), 0.99)

@@ -275,6 +275,7 @@ def _one_error_line(capsys, kind: str) -> str:
         '{"map": {"window": 1}}',
         '{"task": {"n_trials": 0}}',
         '{"task": {"max_steps": 0}}',
+        '{"filter": {',
     ],
 )
 def test_mistyped_config_exits_2(tmp_path, smoke_dir, capsys, text):

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,12 +28,14 @@ from hypothesis import strategies as st
 from topoloc import formats
 from topoloc._records import read_record
 from topoloc.cli import main
-from topoloc.config import Config, FilterConfig
+from topoloc.config import Config
 from topoloc.errors import ConfigError, DataError
 from topoloc.evaluate import label_ground_truth
 from topoloc.mapping import build_map
+from topoloc.measurement import MeasurementParams
+from topoloc.motion import MotionParams
 from topoloc.simulate import Detour, ScenarioSpec, noiseless_scenario, simulate_scenario
-from topoloc.tasks import LcdFrame, WakeupResult, run_lcd, run_wakeup_batch
+from topoloc.tasks import LcdFrame, PipelineParams, WakeupResult, run_lcd, run_wakeup_batch
 
 # ---------------------------------------------------------------------------
 # the rule on single records
@@ -44,6 +47,10 @@ def test_casts_follow_annotations():
     assert cfg.filter.lam == 3.0 and type(cfg.filter.lam) is float
     assert cfg.filter.rho == 2.0 and type(cfg.filter.rho) is float
     assert cfg.task == Config().task
+    params = Config.from_dict({"filter": {"off_self": 0.8, "k_frac": 0.5}}).filter
+    assert params.motion == MotionParams(off_self=0.8)
+    assert params.measurement == MeasurementParams(k_frac=0.5)
+    assert dataclasses.replace(params, mode="no_off").motion.mode == "no_off"
 
 
 @pytest.mark.parametrize(
@@ -66,7 +73,7 @@ def test_type_breaches_name_the_field(doc, path):
 
 def test_unknown_and_missing_keys():
     with pytest.raises(ConfigError, match=r"^unknown keys \['lambda'\]"):
-        FilterConfig.from_dict({"lambda": 1.0})
+        PipelineParams.from_dict({"lambda": 1.0})
     with pytest.raises(ConfigError, match=r"^missing keys \['end_s'\]"):
         Detour.from_dict({"start_s": 1.0})
     with pytest.raises(ConfigError, match="expected a JSON object"):
@@ -84,6 +91,8 @@ def test_nested_paths_and_own_validation():
         ScenarioSpec.from_dict(spec, where="scen.json")
     with pytest.raises(DataError, match=r"^m\.json: filter: lam must be positive"):
         read_record(Config, {"filter": {"lam": -1.0}}, DataError, "m.json")
+    with pytest.raises(ConfigError, match=r"^filter: off_self must lie in \[0, 1\)$"):
+        Config.from_dict({"filter": {"off_self": 1.0}})
 
 
 def test_round_trips_keep_their_dicts():
@@ -102,6 +111,14 @@ def test_round_trips_keep_their_dicts():
         "geometry": [[0.0, 0.0], [1.0, 2.0]],
     }
     assert Detour.from_dict(geom.to_dict()) == geom
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    # compared as text, so a key out of order fails too
+    assert json.dumps(json.loads(block)) == json.dumps(Config().to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +204,7 @@ def written(tmp_path_factory):
     map_ = build_map(ref, 2.0, 5)
     formats.write_map(root / "map.json", map_)
     formats.write_traverse(root / "query.jsonl", query)
-    params = Config().filter.pipeline_params()
+    params = Config().filter
     formats.write_lcd_result(root / "lcd.jsonl", run_lcd(map_, query, params))
     formats.write_wakeup_results(
         root / "wakeup.jsonl", run_wakeup_batch(map_, query, 3, 0, 5, params)

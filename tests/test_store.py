@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import topoloc.motion as motion_mod
 from topoloc.mapping import build_map
-from topoloc.measurement import MeasurementParams
 from topoloc.motion import MOTION_MODES, BandKernel, MotionParams, build_transitions
 from topoloc.simulate import noiseless_scenario, simulate_scenario
 from topoloc.tasks import PipelineParams, run_wakeup_batch
@@ -120,7 +119,7 @@ def test_threads_running_batches_on_one_query_agree():
     # more threads than CPUs and frequent switches, all sharing one store
     _, ref, q = simulate_scenario(noiseless_scenario(), 0)
     m = build_map(ref, 2.0, 5)
-    params = PipelineParams(measurement=MeasurementParams(rho=6.0))
+    params = PipelineParams(rho=6.0)
 
     def batches(query):
         return [run_wakeup_batch(m, query, 40, seed, 8, params) for seed in (1, 2, 3)]

@@ -23,7 +23,7 @@ from topoloc.traverse import Traverse
 _spec = noiseless_scenario()
 _world, _ref, _query = simulate_scenario(_spec, 0)
 _map = build_map(_ref, 2.0, 5)
-_params = PipelineParams(measurement=MeasurementParams(rho=6.0))
+_params = PipelineParams(rho=6.0)
 
 
 def test_lcd_result_shape_and_lambda():
@@ -50,9 +50,7 @@ def test_forward_only_differs_only_in_belief_source():
     # both modes run the same models and measurements; the final frame has no
     # future evidence so its smoothed and filtered beliefs coincide
     sm = run_lcd(_map, _query, _params)
-    fw = run_lcd(_map, _query, PipelineParams(
-        measurement=MeasurementParams(rho=6.0), forward_only=True
-    ))
+    fw = run_lcd(_map, _query, PipelineParams(rho=6.0, forward_only=True))
     assert sm.lam == fw.lam
     assert sm.frames[-1].tau == pytest.approx(fw.frames[-1].tau, abs=1e-12)
     assert sm.frames[-1].proposal == fw.frames[-1].proposal
@@ -65,7 +63,7 @@ def test_lcd_rejects_dimension_mismatch():
 
 
 def test_explicit_lambda_override_skips_calibration():
-    p = PipelineParams(measurement=MeasurementParams(lam=0.7))
+    p = PipelineParams(lam=0.7)
     res = run_lcd(_map, _query, p)
     assert res.lam == 0.7
 
@@ -123,7 +121,7 @@ def test_wakeup_batch_equals_single_trials(mode):
     # no_odom gathers its steps from a broadcast stack, and never reaches
     # 0.95 here, so it is gated at 0.6 for a mix of outcomes
     tau_thres = 0.6 if mode == "no_odom" else 0.95
-    params = replace(_params, motion=MotionParams(mode=mode), tau_thres=tau_thres)
+    params = replace(_params, mode=mode, tau_thres=tau_thres)
     n_trials, max_steps = 120, 6
     batch = run_wakeup_batch(_map, _query, n_trials, 7, max_steps, params)
     starts = [r.start for r in batch]
