@@ -10,7 +10,8 @@ Traverse (``.jsonl`` plus sidecar ``.desc.bin``)
     or null) and ``odom`` (null on the first frame, else ``{"mean": [dx, dy,
     dtheta], "cov": [xx, xy, xt, yy, yt, tt]}``).  Descriptor row ``t`` of
     the sidecar belongs to frame ``t``.  The rows are written straight from
-    the columns of one :class:`Traverse` and read back as records into them.
+    the columns of one :class:`Traverse`; a file in that form is read back a
+    column at a time, any other row by row as records, to the same values.
 Map (``.json`` plus sidecar ``.desc.bin``)
     Single JSON document; the relative-pose band is stored as rows
     ``[i, j, dx, dy, dtheta]`` for every edge ``i -> j`` the band covers.
@@ -33,6 +34,7 @@ integral.
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import astuple, dataclass, fields, make_dataclass
@@ -194,6 +196,8 @@ _Odom = make_dataclass(
 _FrameRow = make_dataclass(
     "_FrameRow", [("t", int), ("gt_pose", _POSE | None), ("odom", _Odom | None)]
 )
+_FRAME_KEYS = {f.name for f in fields(_FrameRow)}
+_ODOM_KEYS = {f.name for f in fields(_Odom)}
 
 
 def write_traverse(path, traverse: Traverse) -> None:
@@ -213,15 +217,50 @@ def write_traverse(path, traverse: Traverse) -> None:
     p.write_text("\n".join(lines) + "\n")
 
 
-def read_traverse(path) -> Traverse:
-    p = Path(path)
-    matrix = read_descriptor_matrix(descriptor_sidecar(p))
-    records = _parse_jsonl(p)
-    if len(records) != matrix.shape[0]:
-        raise DataError(
-            f"{p}: {len(records)} frames but descriptor file has "
-            f"{matrix.shape[0]} rows"
-        )
+def _float_rows(rows: list, width: int):
+    """``rows`` as a ``(len(rows), width)`` float array, or ``None``.
+
+    ``None`` unless every row is a list of ``width`` finite JSON floats.
+    """
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
+        return None
+    if set(map(type, itertools.chain.from_iterable(rows))) - {float}:
+        return None
+    a = np.array(rows, dtype=float).reshape(-1, width)
+    return a if np.isfinite(a).all() else None
+
+
+def _cast_frame_columns(records: list):
+    """Odometry means, covariance entries and ground truth of ``records``, cast at once.
+
+    The columns ``_row_frame_columns`` reads, for a file in the form
+    :func:`write_traverse` writes: every frame has exactly the declared keys,
+    ``t`` is ``0..T-1`` as ints, only the first frame lacks odometry, ground
+    truth is on every frame or none, and every number is a finite float.
+    Any other file returns ``None``, to go through the row rule.
+    """
+    if any(type(r) is not dict or r.keys() != _FRAME_KEYS for r in records):
+        return None
+    ts = [r["t"] for r in records]
+    if {type(t) for t in ts} - {int} or ts != list(range(len(ts))):
+        return None
+    odoms = [r["odom"] for r in records]
+    if odoms[:1] != [None] or any(
+        type(o) is not dict or o.keys() != _ODOM_KEYS for o in odoms[1:]
+    ):
+        return None
+    gts = [r["gt_pose"] for r in records]
+    no_gt = gts.count(None) == len(gts)
+    gt = None if no_gt else _float_rows(gts, 3)
+    means = _float_rows([o["mean"] for o in odoms[1:]], 3)
+    covs = _float_rows([o["cov"] for o in odoms[1:]], 6)
+    if means is None or covs is None or (gt is None and not no_gt):
+        return None
+    return means, covs, gt
+
+
+def _row_frame_columns(p: Path, records: list):
+    """The frame columns of ``records`` read row by row, by the record rule."""
     rows = _read_rows(records, _FrameRow, f"{p} frame")
     if rows and rows[0].odom is not None:
         raise DataError(f"{p} frame 0: the first frame must not carry odometry")
@@ -232,9 +271,28 @@ def read_traverse(path) -> Traverse:
     if len(gts) not in (0, len(rows)):
         raise DataError(f"{p}: ground truth must be present on all frames or none")
     means = np.array([o.mean for o in odoms]).reshape(-1, 3)
-    covs = np.array([o.cov for o in odoms]).reshape(-1, 6)[:, _FULL].reshape(-1, 3, 3)
+    covs = np.array([o.cov for o in odoms]).reshape(-1, 6)
+    return means, covs, np.array(gts) if gts else None
+
+
+def read_traverse(path) -> Traverse:
+    """Read a traverse; a file in the written form is cast a column at a time.
+
+    Every other file is read row by row by the record rule, which raises
+    the error that names the first bad frame.  Both give the same values.
+    """
+    p = Path(path)
+    matrix = read_descriptor_matrix(descriptor_sidecar(p))
+    records = _parse_jsonl(p)
+    if len(records) != matrix.shape[0]:
+        raise DataError(
+            f"{p}: {len(records)} frames but descriptor file has "
+            f"{matrix.shape[0]} rows"
+        )
+    means, covs, gts = _cast_frame_columns(records) or _row_frame_columns(p, records)
+    covs = covs[:, _FULL].reshape(-1, 3, 3)
     try:
-        return Traverse(matrix, means, covs, np.array(gts) if gts else None)
+        return Traverse(matrix, means, covs, gts)
     except DataError as exc:
         raise DataError(f"{p}: {exc}") from None
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from ._records import Record
 from .errors import DataError
@@ -41,6 +40,7 @@ _CORR_LENGTH_M = 3.0
 _KAPPA_MAX = 0.04        # rad/m, turn radius >= 25 m
 _KAPPA_AR = 0.98
 _KAPPA_DRIVE = 0.004
+_FILTER_BLOCK = 32768    # values per row block of the smoothing filter (256 KB)
 _STREAM_WORLD = 0
 _STREAM_RENDER = 1
 
@@ -170,7 +170,8 @@ def generate_world(seed: int, length_m: float = 2000.0, d: int = 64) -> World:
     positions = np.concatenate([np.zeros((1, 2)), np.cumsum(steps, axis=0)])
 
     raw = rng.standard_normal((m, d))
-    smooth = gaussian_filter1d(raw, sigma=_CORR_LENGTH_M / _RESOLUTION_M, axis=0, mode="nearest")
+    # scipy's gaussian_filter1d(mode="nearest") algorithm in scipy's order: the same bits
+    smooth = _gaussian_rows(raw, _CORR_LENGTH_M / _RESOLUTION_M)
     norms = np.linalg.norm(smooth, axis=1, keepdims=True)
     latents = (smooth / norms).astype(np.float32)
 
@@ -181,6 +182,37 @@ def generate_world(seed: int, length_m: float = 2000.0, d: int = 64) -> World:
         resolution=_RESOLUTION_M,
         seed=int(seed),
     )
+
+
+def _gaussian_rows(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian smoothing of ``x`` along its rows, edge rows repeated beyond each end.
+
+    This is scipy's ``gaussian_filter1d(x, sigma, axis=0, mode="nearest")``
+    in scipy's order of operations, so it gives the same bits: the kernel
+    ``exp(-0.5 / sigma**2 * k**2)`` over ``|k| <= int(4 sigma + 0.5)``
+    normalised by its sum, and for each row first the centre row times its
+    weight, then ``(x[i-j] + x[i+j]) * w[j]`` added for ``j`` from the
+    radius down to 1.  It accumulates in place over blocks of rows that stay
+    in cache.
+    """
+    r = int(4.0 * sigma + 0.5)
+    k = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * k**2)
+    w = w / w.sum()
+    m = len(x)
+    padded = np.concatenate([np.repeat(x[:1], r, axis=0), x, np.repeat(x[-1:], r, axis=0)])
+    out = np.empty(x.shape)
+    rows = max(1, _FILTER_BLOCK // x[0].size)
+    tmp = np.empty((min(rows, m),) + x.shape[1:])
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        acc, pair = out[a:b], tmp[: b - a]
+        np.multiply(x[a:b], w[r], out=acc)
+        for j in range(r, 0, -1):
+            np.add(padded[a + r - j : b + r - j], padded[a + r + j : b + r + j], out=pair)
+            pair *= w[r - j]
+            acc += pair
+    return out
 
 
 def _bump_points(world: World, i0: int, i1: int, offset_m: float) -> np.ndarray:

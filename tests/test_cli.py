@@ -2,11 +2,16 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topoloc
 from topoloc.cli import main
 from topoloc.formats import (
     read_lcd_result,
@@ -21,6 +26,15 @@ from topoloc.mapping import build_map
 from topoloc.simulate import builtin_scenarios, noiseless_scenario
 
 from oracles import traverse_of
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is numpy only; scipy is for tests
+    src = str(Path(topoloc.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, topoloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")

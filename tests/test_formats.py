@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from topoloc.errors import DataError
 from topoloc.evaluate import label_ground_truth, score_lcd
 from topoloc.formats import (
+    _cast_frame_columns,
+    _row_frame_columns,
     descriptor_sidecar,
     read_descriptor_matrix,
     read_labels,
@@ -206,6 +208,78 @@ def test_traverse_row_rules(tmp_path, edit, message):
         read_traverse(p)
     assert str(info.value).startswith(str(p))
     assert message in str(info.value)
+
+
+def test_written_traverse_is_cast_by_column(tmp_path):
+    src = tmp_path / "src.jsonl"
+    for with_gt in (True, False):
+        write_traverse(src, _small_traverse(with_gt))
+        recs = [json.loads(ln) for ln in src.read_text().splitlines()]
+        fast = _cast_frame_columns(recs)
+        rows = _row_frame_columns(src, recs)
+        assert fast is not None
+        for a, b in zip(fast, rows):
+            assert (a is None and b is None) or (a.dtype == b.dtype and a.tolist() == b.tolist())
+
+
+def _integral_pose(recs):
+    recs[2]["gt_pose"][0] = 2  # was 2.0
+
+
+def _integral_cov(recs):
+    recs[1]["odom"]["cov"][1] = 0  # was 0.0
+
+
+def _true_mean(recs):
+    recs[2]["odom"]["mean"][0] = True
+
+
+def _nan_pose(recs):
+    recs[2]["gt_pose"][1] = float("nan")  # json.dumps writes the token NaN
+
+
+def _short_mean(recs):
+    recs[3]["odom"]["mean"] = recs[3]["odom"]["mean"][:2]
+
+
+def _extra_key(recs):
+    recs[5]["extra"] = 1
+
+
+def _swapped_t(recs):
+    recs[1], recs[2] = recs[2], recs[1]
+
+
+# Files the written form does not cover take the row rule: the same values
+# or the same error as a reader that checks every row.
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_integral_pose, None),
+        (_integral_cov, None),
+        (_true_mean, " frame 2: odom.mean[0]: expected a finite number, got True"),
+        (_nan_pose, " frame 2: gt_pose[1]: expected a finite number, got nan"),
+        (_short_mean, " frame 3: odom.mean: expected an array of 3, got [1.0, 0.03]"),
+        (_extra_key, " frame 5: unknown keys ['extra']"),
+        (_swapped_t, " frame 1: out-of-order t=2"),
+        (_partial_gt, ": ground truth must be present on all frames or none"),
+    ],
+    ids=["int-pose", "int-cov", "true", "nan-token", "short-mean", "extra-key",
+         "out-of-order-t", "partial-gt"],
+)
+def test_traverse_outside_the_written_form_reads_by_row(tmp_path, edit, message):
+    p = _rewrite_frames(tmp_path, "bad", edit)
+    recs = [json.loads(ln) for ln in p.read_text().splitlines()]
+    assert _cast_frame_columns(recs) is None
+    if message is None:
+        back, tr = read_traverse(p), _small_traverse()
+        for name in ("descriptors", "odom_means", "odom_covs", "gt_poses"):
+            a, b = getattr(tr, name), getattr(back, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+        return
+    with pytest.raises(DataError) as info:
+        read_traverse(p)
+    assert str(info.value) == f"{p}{message}"
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from topoloc.errors import DataError
 from topoloc.geometry import (
@@ -277,6 +278,26 @@ def test_chi2_cdf_3_frozen_values():
 def test_chi2_cdf_3_matches_quadrature():
     for x in np.linspace(0.0, 50.0, 101):
         assert chi2_cdf_3(float(x)) == pytest.approx(chi2_cdf_3_quad(float(x)), abs=1e-6)
+
+
+def test_chi2_cdf_3_within_2_ulp_of_scipy_erf_form():
+    # the closed form on scipy's erf, against the numpy port of that erf: a
+    # dense grid up to 1e300, with the branch points x = 2 (y = 1) and x = 72
+    # (y = 6) and their neighbours, and subnormal inputs
+    edges = np.array([2.0, 72.0])
+    xs = np.concatenate([
+        np.linspace(0.0, 100.0, 200_001),
+        np.geomspace(5e-324, 1e300, 20_001),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.7e308],
+    ])
+    half = 0.5 * xs
+    y = np.sqrt(half)
+    ref = np.clip(erf(y) - math.sqrt(2.0 / math.pi) * np.sqrt(xs) * np.exp(-half), 0.0, 1.0)
+    got = chi2_cdf_3(xs)
+    assert np.isfinite(got).all()
+    assert (np.abs(got - ref) <= 2 * np.spacing(erf(y))).all()
+    assert chi2_cdf_3(1e300) == 1.0 and chi2_cdf_3(5e-324) == 0.0
 
 
 def test_chi2_cdf_3_monotone_and_saturates():

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d
 
 from topoloc.errors import DataError
 from topoloc.simulate import (
+    _gaussian_rows,
     Detour,
     RouteSpec,
     ScenarioSpec,
@@ -27,6 +29,15 @@ def test_world_deterministic_in_seed():
     assert np.array_equal(a.latents, b.latents)
     assert np.array_equal(a.positions, b.positions)
     assert not np.array_equal(a.latents, c.latents)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 2.5, 6.0, 10.0])
+@pytest.mark.parametrize("shape", [(4001, 64), (9000, 5), (40, 3), (3, 7), (1, 4), (30,)])
+def test_smoothing_is_scipys_gaussian_filter_bit_for_bit(shape, sigma):
+    # (3, 7) and (1, 4) have fewer rows than every radius but sigma 0.3's
+    x = np.random.default_rng(len(shape) * 100 + shape[0]).standard_normal(shape)
+    expected = gaussian_filter1d(x, sigma, axis=0, mode="nearest")
+    assert np.array_equal(_gaussian_rows(x, sigma), expected)
 
 
 def test_world_latents_unit_norm():
