@@ -131,7 +131,8 @@ class FilterTrace:
     (``(T, N + 1)``); ``scales[t]`` the matching scale constant (``(T,)``);
     ``transitions[t - 1]`` and ``likelihoods[t]`` the transition model into
     and likelihood row of frame ``t`` (``likelihoods[0]`` pairs with the
-    prior).
+    prior).  :func:`smooth_pass` consumes the forward messages: it writes the
+    smoothed beliefs over ``alphas``.
     """
 
     alphas: np.ndarray
@@ -173,7 +174,10 @@ def smooth_pass(trace: FilterTrace) -> np.ndarray:
     transition and likelihood of the later frame and divides by that frame's
     stored scale constant.  Smoothed marginals are the renormalized products
     ``alpha_t * beta_t``; the final smoothed belief equals the final filtered
-    one by construction.
+    one by construction.  The call consumes the forward messages: row ``t``
+    of ``trace.alphas`` is overwritten by its smoothed belief once the pass
+    has read it, and ``trace.alphas`` itself is returned.  ``trace.scales``
+    is left as it was.
     """
     alphas = trace.alphas
     n_frames = len(alphas)
@@ -181,8 +185,6 @@ def smooth_pass(trace: FilterTrace) -> np.ndarray:
         raise ValueError("cannot smooth an empty trace")
     if len(trace.transitions) != n_frames - 1 or trace.likelihoods.shape != alphas.shape:
         raise ValueError("trace is inconsistent")
-    smoothed = np.empty(alphas.shape)
-    smoothed[-1] = alphas[-1]
     beta = np.ones(alphas.shape[1])
     band = BandKernel(trace.transitions.window, trace.transitions.n_nodes)
     for t in range(n_frames - 1, 0, -1):
@@ -194,9 +196,13 @@ def smooth_pass(trace: FilterTrace) -> np.ndarray:
             raise MeasurementDegenerateError(
                 f"smoothed mass vanished at step {t - 1}", step=t - 1
             )
-        smoothed[t - 1] = product / total
-    _check_beliefs(smoothed[:, :-1], smoothed[:, -1])
-    return smoothed
+        np.divide(product, total, out=alphas[t - 1])
+    _check_beliefs(alphas[:, :-1], alphas[:, -1])
+    return alphas
+
+
+# Rows per argmax in convergence_scores.
+_ARGMAX_ROWS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,11 +229,13 @@ def convergence_scores(
     n = map_.n_nodes
     if within.ndim != 2 or within.shape[1] != n:
         raise ValueError("beliefs and map disagree on the number of nodes")
-    modes = np.argmax(within, axis=1)
-    half = tau_half_width(map_, radius_m)  # nodes beyond either end count as zero mass
-    padded = np.zeros((len(within), n + 2 * half))
-    padded[:, half : half + n] = within
-    mass = padded[np.arange(len(within))[:, None], modes[:, None] + np.arange(2 * half + 1)]
+    modes = np.empty(len(within), dtype=np.intp)
+    for lo in range(0, len(within), _ARGMAX_ROWS):  # argmax copies a strided view: a block at once
+        modes[lo : lo + _ARGMAX_ROWS] = within[lo : lo + _ARGMAX_ROWS].argmax(axis=1)
+    half = tau_half_width(map_, radius_m)
+    nodes = modes[:, None] + np.arange(-half, half + 1)
+    inside = (0 <= nodes) & (nodes < n)  # nodes beyond either end count as exact zeros
+    mass = np.where(inside, within[np.arange(len(within))[:, None], nodes.clip(0, n - 1)], 0.0)
     taus = np.add.accumulate(mass, axis=1)[:, -1]
     return modes, taus
 

@@ -38,13 +38,18 @@ serial pass would.
 :class:`MotionParams`, built by as few :func:`build_transitions` calls as its
 requests allow, each over exactly the steps it does not hold yet.
 
-:class:`BandKernel` propagates in two array operations per direction.  Forward,
-``within_probs[k, i] alpha_i`` fill a buffer after ``window - 1`` zero columns; a
-view with rows one element shorter shifts row ``k`` by ``k``, and ``np.add.reduce``
-over its rows gives ``alpha @ E``.  Backward, the table times the window view of
-``v`` with ``window - 1`` trailing zeros, reduced over its rows.  Both add offsets
-in order from ``k = 0`` and the padding adds exact zeros, so they equal one slice
-product per offset summed in that order, bit for bit, also when ``window > N``.
+:class:`BandKernel` propagates in two array operations per direction.  A stack
+holds band offsets 1 to ``window - 1``; offset 0 is only the final node's
+self-transition, one ``stay`` value per step.  The kernel's ``(window, N)``
+products keep row 0 zero but for the final node, whose one product each step
+writes; rows 1 up are multiplied from the stack.  Forward, row ``k`` holds
+``within_probs[k - 1, i] alpha_i`` in a buffer after ``window - 1`` zero columns;
+a view with rows one element shorter shifts row ``k`` by ``k``, and
+``np.add.reduce`` over its rows gives ``alpha @ E``.  Backward, row ``k`` is the
+table times the window view of ``v`` with ``window - 1`` trailing zeros, reduced
+over its rows.  Both add offsets in order from ``k = 0`` and the padding adds
+exact zeros, so they equal one slice product per offset summed in that order,
+bit for bit, also when ``window > N``.
 
 Modes
 -----
@@ -119,29 +124,42 @@ def _check_shapes(within_probs, to_off, off_self, valid):
         raise ValueError("within_probs must be non-empty")
     if to_off.shape != (steps, n) or off_self.shape != (steps,) or valid.shape != (w, n):
         raise ValueError("shape mismatch between within_probs, to_off, off_self, valid")
+    if valid[0, :-1].any():
+        raise ValueError("offset 0 holds only the final node's self-transition")
     if not np.all((0.0 <= off_self) & (off_self <= 1.0)):
         raise ValueError("off_self must lie in [0, 1]")
 
 
-def _check_steps(within, off, valid):
-    """The per-entry checks of a few steps' ``within_probs`` and ``to_off``."""
-    if np.any((within != 0.0) & ~valid):
+def _check_steps(within, stay, off, valid):
+    """The per-entry checks of a few steps' band, offset-0 entries and ``to_off``.
+
+    ``within`` ``(S, window - 1, N)`` holds offsets 1 up; ``stay`` ``(S, k)``
+    offset 0 of the last ``k`` nodes: a full band's whole row, or a build's
+    final node.
+    """
+    k = stay.shape[1]
+    if np.any((within != 0.0) & ~valid[1:]) or np.any((stay != 0.0) & ~valid[0, -k:]):
         raise ValueError("probabilities outside the edge set must be zero")
-    if min(within.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
+    if min(within.min(initial=0.0), stay.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
         raise ValueError("negative transition probability")
-    if np.abs(within.sum(axis=1) + off - 1.0).max(initial=0.0) > 1e-9:
+    total = within.sum(axis=1)
+    total[:, -k:] += stay
+    if np.abs(total + off - 1.0).max(initial=0.0) > 1e-9:
         raise ValueError("transition rows must sum to 1 within 1e-9")
 
 
 class TransitionStack:
     """The transition models of ``S`` steps over one map.
 
-    ``within_probs[s]`` ``(S, window, N)``, ``to_off[s]`` ``(S, N)`` and
-    ``off_self[s]`` ``(S,)`` are step ``s``'s :class:`TransitionModel`
-    arrays; ``valid`` ``(window, N)`` is the map's edge set, shared by every
-    step.  Construction checks the whole stack once, its shapes first and then
+    ``within_probs[s]`` ``(S, window - 1, N)``, ``stay[s]`` ``(S,)``,
+    ``to_off[s]`` ``(S, N)`` and ``off_self[s]`` ``(S,)`` are step ``s``'s
+    :class:`TransitionModel` arrays; ``valid`` ``(window, N)`` is the map's
+    edge set, shared by every step.  Construction takes the full ``(S, window,
+    N)`` band, offset 0 first, whose offset 0 may hold only the final node's
+    self-transition; it checks the whole stack once, its shapes first and then
     its entries in ``_CHUNK``-step blocks across the CPUs, raising the lowest
-    failing step's error; ``stack[s]`` is step ``s``'s model, a read-only view
+    failing step's error, and keeps offsets 1 up and the final node's offset-0
+    entry as ``stay``.  ``stack[s]`` is step ``s``'s model, a read-only view
     that is not checked again.  A stack that :meth:`TransitionStore.stack`
     hands out holds ``within_probs`` and ``to_off`` as tuples of per-step rows
     of the checked arrays its builds made, so ``[s]`` reads the same rows.
@@ -154,24 +172,27 @@ class TransitionStack:
         valid = np.asarray(valid, dtype=bool)
         _check_shapes(within_probs, to_off, off_self, valid)
         run_blocks(
-            lambda lo, hi: _check_steps(within_probs[lo:hi], to_off[lo:hi], valid),
+            lambda lo, hi: _check_steps(
+                within_probs[lo:hi, 1:], within_probs[lo:hi, 0], to_off[lo:hi], valid
+            ),
             len(to_off),
             _CHUNK,
         )
-        self._set(within_probs, to_off, off_self, valid)
+        self._set(within_probs[:, 1:], within_probs[:, 0, -1], to_off, off_self, valid)
 
-    def _set(self, within_probs, to_off, off_self, valid) -> "TransitionStack":
+    def _set(self, within_probs, stay, to_off, off_self, valid) -> "TransitionStack":
         """Holds step rows that passed ``_check_shapes`` and ``_check_steps``, read-only.
 
         ``within_probs`` and ``to_off`` are whole arrays, or tuples of one
         read-only row per step taken from the arrays of other stacks.
         """
         self.within_probs = within_probs
+        self.stay = stay
         self.to_off = to_off
         self.off_self = off_self
         self.valid = valid
         self.window, self.n_nodes = valid.shape
-        for arr in (within_probs, to_off, off_self, valid):
+        for arr in (within_probs, stay, to_off, off_self, valid):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
         return self
@@ -186,18 +207,19 @@ class TransitionStack:
 class TransitionModel:
     """Step ``s`` of a :class:`TransitionStack`: banded transitions over ``N`` nodes plus off-map.
 
-    Storage is by diagonal offset: ``within_probs[k, i]`` is the probability
-    of ``i -> i + k`` (offset 0 exists only as the final node's
-    self-transition), ``to_off[i]`` the probability of ``i -> off``.  The
-    off-map row is ``off_self`` on itself and uniform ``(1 - off_self) / N``
-    into each node.  The stack checked the rows; this is a read-only view of
-    them, and :meth:`propagate` is :class:`BandKernel`'s, never forming the
-    dense matrix.
+    Storage is by diagonal offset: ``within_probs[k - 1, i]`` is the
+    probability of ``i -> i + k`` for ``k >= 1``, ``stay`` that of the final
+    node's self-transition, the one edge at offset 0, and ``to_off[i]`` the
+    probability of ``i -> off``.  The off-map row is ``off_self`` on itself
+    and uniform ``(1 - off_self) / N`` into each node.  The stack checked the
+    rows; this is a read-only view of them, and :meth:`propagate` is
+    :class:`BandKernel`'s, never forming the dense matrix.
     """
 
     def __init__(self, stack: TransitionStack, s: int):
         self._stack, self._s = stack, s
         self.within_probs = stack.within_probs[s]
+        self.stay = float(stack.stay[s])
         self.to_off = stack.to_off[s]
         self.off_self = float(stack.off_self[s])
         self.valid = stack.valid
@@ -229,7 +251,8 @@ class BandKernel:
         """``alpha @ E`` for step ``s`` of ``stack``: a new ``(N + 1,)`` array."""
         n, off_self = stack.n_nodes, stack.off_self[s]
         pred = np.empty(n + 1)
-        np.multiply(stack.within_probs[s], alpha[:n], out=self._products)
+        np.multiply(stack.within_probs[s], alpha[:n], out=self._products[1:])
+        self._products[0, n - 1] = stack.stay[s] * alpha[n - 1]  # the rest of row 0 stays 0
         np.add.reduce(self._shifted_products, axis=0, out=pred[:n])
         pred[:n] += alpha[n] * ((1.0 - off_self) / n)
         pred[n] = alpha[:n] @ stack.to_off[s] + alpha[n] * off_self
@@ -240,7 +263,8 @@ class BandKernel:
         n, off_self = stack.n_nodes, stack.off_self[s]
         out = np.empty(n + 1)
         self._message[:n] = v[:n]
-        np.multiply(stack.within_probs[s], self._shifted_message, out=self._products)
+        np.multiply(stack.within_probs[s], self._shifted_message[1:], out=self._products[1:])
+        self._products[0, n - 1] = stack.stay[s] * v[n - 1]
         np.add.reduce(self._products, axis=0, out=out[:n])
         out[:n] += stack.to_off[s] * v[n]
         out[n] = off_self * v[n] + ((1.0 - off_self) / n) * v[:n].sum()
@@ -296,10 +320,12 @@ def build_transitions(
     if params.mode == "no_odom":
         to_off = np.full(n, params.no_odom_off)
         counts = valid.sum(axis=0)
-        probs = np.where(valid, (1.0 - to_off)[None, :] / counts[None, :], 0.0)
-        _check_steps(probs[None], to_off[None], valid)  # the model of every step
+        probs = np.where(valid[1:], (1.0 - to_off)[None, :] / counts[None, :], 0.0)
+        stay = 1.0 - to_off[-1:]  # (1 - to_off) / 1 at the final node
+        _check_steps(probs[None], stay[None], to_off[None], valid)  # the model of every step
         return TransitionStack.__new__(TransitionStack)._set(
             np.broadcast_to(probs, (steps,) + probs.shape),
+            np.broadcast_to(stay, (steps,)),
             np.broadcast_to(to_off, (steps, n)),
             off_self,
             valid,
@@ -307,8 +333,9 @@ def build_transitions(
 
     precs = np.linalg.inv(odom_covs)
     precs = 0.5 * (precs + precs.transpose(0, 2, 1))
-    barrier = np.where(valid, 0.0, np.inf)
-    within = np.empty((steps,) + valid.shape)
+    barrier = np.where(valid[1:], 0.0, np.inf)
+    within = np.empty((steps,) + barrier.shape)
+    stay = np.empty(steps)
     to_off = np.zeros((steps, n))
     map_.edge_features  # the per-map cache, filled before the blocks read it
 
@@ -316,12 +343,11 @@ def build_transitions(
         part = slice(lo, hi)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             d2 = _edge_d2(map_, odom_means[part], precs[part])
-        # d2 table by diagonal offset, +inf off the edge set (offset 0: the stay column)
+        # d2 table by diagonal offset from 1, +inf off the edge set
         table = within[part]
-        table[:, 0] = barrier[0]
-        table[:, 0, n - 1] = d2[:, -1]
-        np.add(d2[:, :-1].reshape(len(d2), -1, n), barrier[1:], out=table[:, 1:])
+        np.add(d2[:, :-1].reshape(len(d2), -1, n), barrier, out=table)
         min_d2 = table.min(axis=1)  # NaN where any entry of d2 is, +inf where a node's all are
+        min_d2[:, -1] = d2[:, -1]  # the final node's one edge: the stay column
         bad = ~np.isfinite(min_d2).all(axis=1)
         if bad.any():
             mean = odom_means[lo + int(np.argmax(bad))].tolist()
@@ -340,12 +366,15 @@ def build_transitions(
         with np.errstate(under="ignore"):
             np.exp(table, out=table, where=~zero)
         np.copyto(table, 0.0, where=zero)
-        table /= table.sum(axis=1)[:, None]
+        # each node's sum is at least its best edge's exp(0) = 1, but for the final node's
+        # all-0 column: it divides by 1, not 0
+        table /= np.maximum(table.sum(axis=1), 1.0)[:, None]
         table *= 1.0 - to_off[part][:, None]
-        _check_steps(table, to_off[part], valid)
+        stay[part] = 1.0 - to_off[part, -1]  # the softmax over its stay column alone is 1
+        _check_steps(table, stay[part, None], to_off[part], valid)
 
     run_blocks(build, steps, _CHUNK)
-    return TransitionStack.__new__(TransitionStack)._set(within, to_off, off_self, valid)
+    return TransitionStack.__new__(TransitionStack)._set(within, stay, to_off, off_self, valid)
 
 
 class TransitionStore:
@@ -355,14 +384,14 @@ class TransitionStore:
     frees it.  Steps are held per map, keyed weakly so that dropping the map
     frees its steps too, and per :class:`MotionParams` value.  Each
     :func:`build_transitions` call's own arrays are kept, never a whole-query
-    array: 48 bytes per map node and step, 28.5 MB for the S2 seed 0 query per
+    array: 40 bytes per map node and step, 23.7 MB for the S2 seed 0 query per
     map and motion mode.  A lock serialises requests, so threads sharing a
     query never build a step twice.
     """
 
     def __init__(self, odom_means: np.ndarray, odom_covs: np.ndarray):
         self._odom_means, self._odom_covs = odom_means, odom_covs
-        # map -> {params: (within rows, to_off rows, off_self)}, one entry per step
+        # map -> {params: (within rows, to_off rows, (stay, off_self))}, one entry per step
         self._held = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
@@ -385,8 +414,8 @@ class TransitionStore:
         with self._lock:
             by_params = self._held.setdefault(map_, {})
             if params not in by_params:
-                by_params[params] = ([None] * total, [None] * total, np.empty(total))
-            within, to_off, off_self = by_params[params]
+                by_params[params] = ([None] * total, [None] * total, np.empty((2, total)))
+            within, to_off, stay_off = by_params[params]
             missing = sorted({s for s in steps if within[s] is None})
             if missing:
                 built = build_transitions(
@@ -394,12 +423,13 @@ class TransitionStore:
                 )
                 for row, s in enumerate(missing):
                     within[s], to_off[s] = built.within_probs[row], built.to_off[row]
-                off_self[missing] = built.off_self
-            gathered = off_self[steps]
+                stay_off[:, missing] = built.stay, built.off_self
+            stay, off_self = stay_off[:, steps]
         return TransitionStack.__new__(TransitionStack)._set(
             tuple(within[s] for s in steps),
+            stay,
             tuple(to_off[s] for s in steps),
-            gathered,
+            off_self,
             map_.edge_geometry[3],
         )
 

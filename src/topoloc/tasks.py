@@ -282,7 +282,7 @@ def run_wakeup_batch(
     holds: at most the whole traverse, 5 MB on an S2 query (5 MB more during
     that call).  Their transition models come from the query's store, which
     keeps every step built for the query until the query or the map is
-    dropped: 48 bytes per map node and step, 28.5 MB for the S2 seed 0 query
+    dropped: 40 bytes per map node and step, 23.7 MB for the S2 seed 0 query
     per map and motion mode.  Results are in trial order.
     """
     if n_trials < 1:

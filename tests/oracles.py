@@ -309,13 +309,22 @@ def segment_endpoint_rows(map_, i: int, j: int) -> tuple[np.ndarray, np.ndarray]
     return lo, band[i, k].copy()
 
 
+def full_band(model) -> np.ndarray:
+    """A model's ``(window, N)`` band, or a stack's ``(S, window, N)``, offset 0 first.
+
+    Offset 0 is zero but for the final node's ``stay``; offsets 1 up are
+    ``within_probs``.  This is the layout ``TransitionStack`` accepts.
+    """
+    within = np.asarray(model.within_probs, dtype=float)
+    first = np.zeros(within.shape[:-2] + (1, model.n_nodes))
+    first[..., 0, -1] = model.stay
+    return np.concatenate([first, within], axis=-2)
+
+
 def within(model, i: int) -> list[tuple[int, float]]:
     """Outgoing within-map transitions of node ``i`` as ``(j, prob)`` pairs."""
-    return [
-        (i + k, float(model.within_probs[k, i]))
-        for k in range(model.window)
-        if model.valid[k, i]
-    ]
+    band = full_band(model)
+    return [(i + k, float(band[k, i])) for k in range(model.window) if model.valid[k, i]]
 
 
 def off_out(model) -> float:
@@ -338,14 +347,14 @@ def to_dense(model) -> np.ndarray:
 
 def slice_propagate(model, alpha: np.ndarray) -> np.ndarray:
     """``alpha @ E`` as one slice product per diagonal offset, summed from offset 0."""
-    n = model.n_nodes
+    n, band = model.n_nodes, full_band(model)
     pred = np.zeros(n + 1)
     within = alpha[:n]
     for k in range(min(model.window, n)):
         if k == 0:
-            pred[:n] += within * model.within_probs[0]
+            pred[:n] += within * band[0]
         else:
-            pred[k:n] += within[: n - k] * model.within_probs[k, : n - k]
+            pred[k:n] += within[: n - k] * band[k, : n - k]
     pred[:n] += alpha[n] * off_out(model)
     pred[n] = within @ model.to_off + alpha[n] * model.off_self
     return pred
@@ -353,14 +362,14 @@ def slice_propagate(model, alpha: np.ndarray) -> np.ndarray:
 
 def slice_backpropagate(model, v: np.ndarray) -> np.ndarray:
     """``E @ v`` as one slice product per diagonal offset, summed from offset 0."""
-    n = model.n_nodes
+    n, band = model.n_nodes, full_band(model)
     out = np.zeros(n + 1)
     v_within = v[:n]
     for k in range(min(model.window, n)):
         if k == 0:
-            out[:n] += model.within_probs[0] * v_within
+            out[:n] += band[0] * v_within
         else:
-            out[: n - k] += model.within_probs[k, : n - k] * v_within[k:]
+            out[: n - k] += band[k, : n - k] * v_within[k:]
     out[:n] += model.to_off * v[n]
     out[n] = model.off_self * v[n] + off_out(model) * v_within.sum()
     return out
@@ -390,6 +399,20 @@ def slice_forward_backward(prior_vector, stack, likelihoods):
         product = alphas[t - 1] * beta
         smoothed[t - 1] = product / product.sum()
     return alphas, scales, smoothed
+
+
+def padded_convergence_scores(within: np.ndarray, half: int) -> tuple[np.ndarray, np.ndarray]:
+    """Modes and taus of ``(T, N)`` rows, each window gathered from zero-padded rows.
+
+    The mode is the first argmax; ``tau`` adds, in index order, the ``2 half
+    + 1`` entries centred on it, with ``half`` zeros beyond either end.
+    """
+    n = within.shape[1]
+    modes = np.argmax(within, axis=1)
+    padded = np.zeros((len(within), n + 2 * half))
+    padded[:, half : half + n] = within
+    mass = padded[np.arange(len(within))[:, None], modes[:, None] + np.arange(2 * half + 1)]
+    return modes, np.add.accumulate(mass, axis=1)[:, -1]
 
 
 def traverse_of(frames) -> Traverse:

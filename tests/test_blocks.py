@@ -22,7 +22,7 @@ from topoloc.motion import (
     build_transitions,
 )
 
-from oracles import relative
+from oracles import full_band, relative
 
 STEP_COUNTS = (1, 15, 16, 17, 100)
 WORKERS = (1, 2, 3, 5)
@@ -110,6 +110,7 @@ def test_stacks_built_in_blocks_equal_the_one_worker_build(workers, mode):
             workers(count)
             got = build_transitions(m, means[:steps], covs[:steps], params)
             assert np.array_equal(got.within_probs, want.within_probs)
+            assert np.array_equal(got.stay, want.stay)
             assert np.array_equal(got.to_off, want.to_off)
             assert np.array_equal(got.off_self, want.off_self)
 
@@ -133,13 +134,13 @@ def test_lowest_block_error_is_raised(workers):
     # last block of every split; step 60 alone has a negative entry
     cases = {}
     for lower in (5, 50):
-        within = good.within_probs.copy()
+        within = full_band(good)
         within[lower, 1, 3] += 1e-6
         within[97, 0, 0] = 1e-3
         cases[lower] = (within, good.to_off)
     to_off = good.to_off.copy()
     to_off[60, 2] = -1e-3
-    cases["alone"] = (good.within_probs, to_off)
+    cases["alone"] = (full_band(good), to_off)
     messages = {}
     for count in WORKERS:
         workers(count)
@@ -187,7 +188,7 @@ def test_run_blocks_raises_the_lowest_blocks_exception(workers):
 def test_shape_errors_come_before_any_block(refusing_pool):
     m, means, covs, _ = curvy_problem()
     good = build_transitions(m, means[:1], covs[:1], MotionParams())
-    within = np.repeat(good.within_probs, 40, axis=0)
+    within = np.repeat(full_band(good), 40, axis=0)
     to_off = np.repeat(good.to_off, 40, axis=0)
     with pytest.raises(ValueError, match="shape mismatch"):
         TransitionStack(within, to_off[:39], np.full(40, 0.9), good.valid)

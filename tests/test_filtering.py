@@ -23,6 +23,7 @@ from topoloc.filtering import (
     init_belief,
     run_forward,
     smooth_pass,
+    tau_half_width,
 )
 from topoloc.geometry import Pose2
 from topoloc.mapping import TopometricMap, build_map
@@ -30,7 +31,14 @@ from topoloc.measurement import MeasurementParams, calibrate_lambda, likelihood_
 from topoloc.motion import MotionParams, TransitionStack, build_transitions
 from topoloc.simulate import builtin_scenarios, simulate_scenario
 
-from oracles import enumerate_marginals, random_banded_model, to_dense
+from oracles import (
+    enumerate_marginals,
+    full_band,
+    padded_convergence_scores,
+    random_banded_model,
+    slice_forward_backward,
+    to_dense,
+)
 
 
 def dense_to_model(m, window=3):
@@ -53,11 +61,13 @@ def dense_to_model(m, window=3):
 def dense_to_stack(transitions, n, window=3):
     """The oracle's dense matrices, which share one edge set, as a TransitionStack."""
     models = [dense_to_model(m, window) for m in transitions]
+    valid = np.zeros((window, n), dtype=bool)  # without steps, offset 0 of the final node alone
+    valid[0, -1] = True
     return TransitionStack(
-        np.reshape([m.within_probs for m in models], (-1, window, n)),
+        np.reshape([full_band(m) for m in models], (-1, window, n)),
         np.reshape([m.to_off for m in models], (-1, n)),
         [m.off_self for m in models],
-        models[0].valid if models else np.ones((window, n), dtype=bool),
+        models[0].valid if models else valid,
     )
 
 
@@ -153,12 +163,13 @@ def test_uninformative_future_leaves_filtered_untouched():
     g_first = np.array([0.8, 0.2])
     uniform = np.ones(2)
     stack = TransitionStack(
-        [model.within_probs] * 2, [model.to_off] * 2, [a] * 2, model.valid
+        [full_band(model)] * 2, [model.to_off] * 2, [a] * 2, model.valid
     )
     trace = run_forward(prior, stack, [g_first, uniform, uniform])
+    filtered = trace.alphas.copy()  # smoothing writes over the forward messages
     smoothed = smooth_pass(trace)
     for t in range(3):
-        assert np.allclose(smoothed[t], trace.alphas[t], atol=1e-12)
+        assert np.allclose(smoothed[t], filtered[t], atol=1e-12)
 
 
 def test_likelihood_scale_invariance():
@@ -169,6 +180,35 @@ def test_likelihood_scale_invariance():
     a = smooth_pass(run_forward(Belief.from_vector(prior), stack, likelihoods))
     b = smooth_pass(run_forward(Belief.from_vector(prior), stack, scaled))
     assert np.abs(a - b).max() < 1e-12
+
+
+def test_smoothing_writes_over_the_forward_messages():
+    rng = np.random.default_rng(29)
+    prior, transitions, likelihoods = random_banded_model(rng, n=5, t_steps=6)
+    stack = dense_to_stack(transitions, 5)
+    trace = run_forward(Belief.from_vector(prior), stack, likelihoods)
+    scales, evidence = trace.scales.copy(), trace.log_evidence()
+    smoothed = smooth_pass(trace)
+    assert smoothed is trace.alphas
+    assert np.array_equal(trace.scales, scales) and trace.log_evidence() == evidence
+    _, want_scales, want_smoothed = slice_forward_backward(
+        prior, stack, np.asarray(likelihoods)
+    )
+    assert np.array_equal(want_scales, scales)
+    assert np.array_equal(smoothed, want_smoothed)
+
+
+def test_vanished_smoothed_mass_names_its_step():
+    # node 0 moves to node 1 for sure, and frame 1 rules node 1 out: a trace no
+    # forward pass makes, whose smoothed mass at step 0 is exactly zero
+    stack = TransitionStack(
+        [[[0.0, 1.0], [1.0, 0.0]]], [[0.0, 0.0]], [0.5], [[False, True], [True, False]]
+    )
+    alphas = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    trace = FilterTrace(alphas, np.ones(2), stack, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises(MeasurementDegenerateError, match="smoothed mass vanished at step 0") as err:
+        smooth_pass(trace)
+    assert err.value.step == 0
 
 
 def test_forward_step_normalizes_and_reports_scale():
@@ -216,8 +256,9 @@ def test_final_smoothed_equals_final_filtered():
     rng = np.random.default_rng(13)
     prior, transitions, likelihoods = random_banded_model(rng, n=4, t_steps=4)
     trace = run_forward(Belief.from_vector(prior), dense_to_stack(transitions, 4), likelihoods)
+    filtered = trace.alphas.copy()  # smoothing writes over the forward messages
     smoothed = smooth_pass(trace)
-    assert np.allclose(smoothed[-1], trace.alphas[-1], atol=1e-12)
+    assert np.allclose(smoothed[-1], filtered[-1], atol=1e-12)
 
 
 def test_convergence_score_window_and_mode():
@@ -318,3 +359,35 @@ def test_convergence_scores_sum_each_window_in_index_order(seed, n, rows, radius
     for row, mode, tau in zip(within, modes, taus):
         assert mode == np.argmax(row)
         assert tau == np.add.accumulate(row[max(0, mode - half) : mode + half + 1])[-1]
+
+
+def convergence_cases():
+    """``(within, map, radius_m)`` cases: ties, modes at both ends, a clamped half-width,
+    one node, and the strided ``(T, N + 1)[:, :-1]`` rows that ``run_lcd`` passes."""
+    rng = np.random.default_rng(41)
+    ties = rng.integers(0, 3, size=(150, 9)) / 4.0  # more rows than one argmax block
+    ends = rng.uniform(0.0, 0.1, size=(4, 9))
+    ends[[0, 1], 0] = 1.0
+    ends[[2, 3], -1] = 1.0
+    beliefs = rng.uniform(size=(130, 10))
+    beliefs /= beliefs.sum(axis=1, keepdims=True)
+    return [
+        (ties, line_map(9), 3.0),
+        (ties, line_map(9), 0.0),
+        (ends, line_map(9), 5.0),
+        (ends, line_map(9), 1e6),  # half-width clamps to N - 1
+        (rng.uniform(size=(70, 1)), line_map(1), 3.0),
+        (beliefs[:, :-1], line_map(9), 3.0),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", range(6), ids=["ties", "ties-radius-0", "ends", "clamped", "one-node", "strided"]
+)
+def test_convergence_scores_equal_the_padded_gather_bit_for_bit(case):
+    within, m, radius = convergence_cases()[case]
+    modes, taus = convergence_scores(within, m, radius)
+    want_modes, want_taus = padded_convergence_scores(within, tau_half_width(m, radius))
+    assert modes.dtype == want_modes.dtype
+    assert np.array_equal(modes, want_modes)
+    assert np.array_equal(taus, want_taus)

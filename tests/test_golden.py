@@ -83,8 +83,10 @@ def test_lcd_passes_equal_the_slice_loops_bit_for_bit(monkeypatch):
 
     def keep_trace(prior, transitions, likelihoods):
         seen["prior"] = prior
-        seen["trace"] = run_forward(prior, transitions, likelihoods)
-        return seen["trace"]
+        trace = run_forward(prior, transitions, likelihoods)
+        # run_lcd's smoothing writes over the forward messages: keep them
+        seen["trace"] = dataclasses.replace(trace, alphas=trace.alphas.copy())
+        return trace
 
     def keep_smoothed(trace):
         seen["smoothed"] = smooth_pass(trace)

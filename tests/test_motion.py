@@ -14,7 +14,7 @@ from topoloc.geometry import (
 )
 from topoloc import motion
 from topoloc.errors import DataError
-from topoloc.mapping import TopometricMap
+from topoloc.mapping import TopometricMap, build_map
 from topoloc.motion import (
     MOTION_MODES,
     MotionParams,
@@ -22,8 +22,10 @@ from topoloc.motion import (
     build_transition_model,
     build_transitions,
 )
+from topoloc.simulate import builtin_scenarios, simulate_scenario
 
 from oracles import (
+    full_band,
     mahalanobis_sq,
     min_mahalanobis_on_segment,
     min_mahalanobis_on_segments,
@@ -219,17 +221,20 @@ def test_propagate_agrees_with_dense_product():
 
 def random_band_stack(rng, n, window, steps):
     """A checked stack over a random edge set: edges dropped at random, every
-    node left without one keeps its stay slot, the final node always does;
-    ``to_off`` and ``off_self`` include exact 0 and 1."""
+    node left without one sends all its mass off the map, the final node keeps
+    its stay slot; ``to_off`` and ``off_self`` include exact 0 and 1."""
     valid = np.zeros((window, n), dtype=bool)
     for k in range(1, window):
         valid[k, : max(n - k, 0)] = rng.uniform(size=max(n - k, 0)) < 0.8
-    valid[0, ~valid.any(axis=0)] = True
+    valid[0, -1] = True  # offset 0 holds only the final node's self-transition
     to_off = rng.uniform(size=(steps, n))
     to_off[rng.uniform(size=(steps, n)) < 0.2] = 0.0
     to_off[rng.uniform(size=(steps, n)) < 0.2] = 1.0
+    to_off[:, ~valid.any(axis=0)] = 1.0
     raw = rng.uniform(0.01, 1.0, size=(steps, window, n)) * valid
-    probs = raw / raw.sum(axis=1, keepdims=True) * (1.0 - to_off)[:, None]
+    sums = raw.sum(axis=1, keepdims=True)
+    probs = np.divide(raw, sums, out=np.zeros_like(raw), where=sums > 0.0)
+    probs *= (1.0 - to_off)[:, None]
     off_self = rng.choice([0.0, 0.3, 0.9, 1.0], size=steps)
     return TransitionStack(probs, to_off, off_self, valid)
 
@@ -265,7 +270,7 @@ def test_band_kernel_on_a_built_map_keeps_the_stay_column():
         m, np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.9, 0.2, 0.1]]),
         np.broadcast_to(np.diag([0.01, 0.01, 0.0025]), (3, 3, 3)), MotionParams(),
     )
-    assert stack.within_probs[1, 0, -1] > 0.0  # a standing step keeps the final node
+    assert stack.stay[1] > 0.0  # a standing step keeps the final node
     band = motion.BandKernel(stack.window, stack.n_nodes)
     rng = np.random.default_rng(3)
     for s in range(len(stack)):
@@ -286,7 +291,7 @@ def test_model_stores_band_not_square():
     n, window = 50, 5
     m = line_map(n=n, window=window)
     model = build_transition_model(m, step(2.0), MotionParams())
-    assert model.within_probs.shape == (window, n)
+    assert model.within_probs.shape == (window - 1, n)  # offsets 1 up; offset 0 is stay
     assert model.valid.shape == (window, n)
     assert model.valid.sum() <= n * window  # far below the dense 51*51
 
@@ -450,10 +455,11 @@ def test_stacked_models_equal_one_step_models(problem, mode):
         one = build_transition_model(m, odom, params)
         assert np.array_equal(stack.within_probs[s], one.within_probs)
         assert np.array_equal(stack.to_off[s], one.to_off)
+        assert stack[s].stay == one.stay
         assert stack[s].off_self == one.off_self
         assert np.array_equal(stack[s].valid, one.valid)
         assert abs(stack[s].off_self + off_out(stack[s]) * m.n_nodes - 1.0) < 1e-9
-    rows = stack.within_probs.sum(axis=1) + stack.to_off
+    rows = full_band(stack).sum(axis=1) + stack.to_off
     assert np.abs(rows - 1.0).max() < 1e-9
 
 
@@ -462,11 +468,11 @@ def test_stack_checks_every_step():
     good = build_transitions(
         m, np.array([[2.0, 0.0, 0.0]] * 3), np.stack([np.eye(3) * 0.01] * 3), MotionParams()
     )
-    within = good.within_probs.copy()
+    within = full_band(good)
     within[2, 1, 4] += 1e-6  # node 4 of the last step no longer sums to one
     with pytest.raises(ValueError, match="sum to 1"):
         TransitionStack(within, good.to_off, good.off_self, good.valid)
-    within = good.within_probs.copy()
+    within = full_band(good)
     within[1, 0, 0] = 1e-3  # offset 0 exists only for the final node
     with pytest.raises(ValueError, match="outside the edge set"):
         TransitionStack(within, good.to_off, good.off_self, good.valid)
@@ -478,18 +484,40 @@ def test_stack_checks_every_step():
         MotionParams(),
     )
     last = steps - 1
-    within = good.within_probs.copy()
+    within = full_band(good)
     within[last, 1, 4] += 1e-6
     with pytest.raises(ValueError, match="sum to 1"):
         TransitionStack(within, good.to_off, good.off_self, good.valid)
-    within = good.within_probs.copy()
+    within = full_band(good)
     within[last, 0, 0] = 1e-3
     with pytest.raises(ValueError, match="outside the edge set"):
         TransitionStack(within, good.to_off, good.off_self, good.valid)
     to_off = good.to_off.copy()
     to_off[last, 3] = -1e-3
     with pytest.raises(ValueError, match="negative transition probability"):
-        TransitionStack(good.within_probs, to_off, good.off_self, good.valid)
+        TransitionStack(full_band(good), to_off, good.off_self, good.valid)
+
+
+def test_stack_rejects_an_offset_0_slot_off_the_final_node():
+    good = build_transitions(
+        line_map(), np.array([[2.0, 0.0, 0.0]] * 2), np.stack([np.eye(3) * 0.01] * 2), MotionParams()
+    )
+    valid = good.valid.copy()
+    valid[0, 3] = True  # a self-transition slot the compact band has no room for
+    with pytest.raises(ValueError, match="offset 0 holds only the final node"):
+        TransitionStack(full_band(good), good.to_off, good.off_self, valid)
+
+
+def test_stay_is_the_final_nodes_on_map_mass_bit_for_bit():
+    # the final node's one edge keeps all its on-map mass: softmax 1.0 over the
+    # stay column times 1 - to_off, or (1 - to_off) / 1 without odometry
+    for name in ("S1", "S2", "S3"):
+        _, ref, query = simulate_scenario(builtin_scenarios()[name], 0)
+        m = build_map(ref, 2.0, 5)
+        for mode in MOTION_MODES:
+            stack = build_transitions(m, query.odom_means, query.odom_covs, MotionParams(mode=mode))
+            assert np.array_equal(stack.stay, 1.0 - stack.to_off[:, -1])
+            assert not full_band(stack)[:, 0, :-1].any()
 
 
 def oracle_rows(m, odom, mode):
@@ -605,6 +633,6 @@ def test_exp_mask_matches_unmasked_softmax():
         stack = build_transitions(m, means, covs, MotionParams(mode=mode))
         for s in range(2):
             want = unmasked_transition_probs(tables[s], stack.to_off[s])
-            assert np.array_equal(stack.within_probs[s], want)
+            assert np.array_equal(full_band(stack[s]), want)
         tiny = stack.within_probs[0]
         assert ((tiny > 0.0) & (tiny < np.finfo(float).tiny)).any()

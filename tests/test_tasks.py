@@ -322,3 +322,35 @@ def test_pipeline_params_validation():
         PipelineParams(tau_thres=1.5)
     with pytest.raises(ValueError):
         PipelineParams(radius_m=-1.0)
+
+
+def test_lcd_working_set_is_the_stack_the_messages_and_one_distance_table():
+    # run_lcd on an S2-sized query, traced from after the query is read (its store
+    # empty) with the map's caches filled.  What it must hold at once is the stack,
+    # one likelihood and one message array (smoothing writes over the forward
+    # messages, taus copy no whole rows) and, inside likelihood_vector, one distance
+    # table; plus what each block thread holds of its block, at most five
+    # _CHUNK-step arrays of edge columns (_edge_d2's d2, num, den and s, and the
+    # softmax's masks).  A separate smoothed array or whole-query tau copies exceed it.
+    import pickle
+    import tracemalloc
+
+    from topoloc import _blocks, motion
+
+    _, ref, query = simulate_scenario(builtin_scenarios()["S2"], 0)
+    m = build_map(ref, 2.0, 5)
+    run_lcd(m, pickle.loads(pickle.dumps(query)), PipelineParams())  # a copy with its own store
+    n, frames, window = m.n_nodes, len(query), m.window
+    stack = (frames - 1) * (window * n * 8 + 16)  # offsets 1 up and to_off; stay, off_self
+    messages = 2 * frames * (n + 1) * 8
+    distances = frames * n * 8
+    scratch = _blocks._WORKERS * 5 * motion._CHUNK * ((window - 1) * n + 1) * 8
+    tracemalloc.start()
+    try:
+        run_lcd(m, query, PipelineParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = stack + messages + distances + scratch
+    assert frames > 600 and n > 800
+    assert peak <= budget, f"peak {peak / 2**20:.1f} MiB over {budget / 2**20:.1f} MiB"
