@@ -8,6 +8,7 @@ in a config file fails loudly instead of silently running with defaults.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ._records import Record
@@ -25,8 +26,8 @@ class MapConfig(Record):
     window: int = 5
 
     def __post_init__(self):
-        if not self.node_spacing > 0.0:
-            raise ConfigError("node_spacing must be positive")
+        if not 0.0 < self.node_spacing < math.inf:
+            raise ConfigError("node_spacing must be positive and finite")
         if self.window < 2:
             raise ConfigError("window must be at least 2")
 

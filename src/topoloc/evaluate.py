@@ -198,7 +198,10 @@ def score_lcd(result: LcdResult, labels: GroundTruthLabel) -> PrCurve:
     """
     if len(result.frames) != len(labels):
         raise DataError("result and labels disagree on the frame count")
-    correct = _acceptable(labels, np.arange(len(labels)), result.proposals())
+    proposals = result.proposals()
+    if (proposals < 0).any():
+        raise DataError(f"frame {int(np.argmax(proposals < 0))} proposes a negative node")
+    correct = _acceptable(labels, np.arange(len(labels)), proposals)
     can = np.ones(len(labels), dtype=bool)
     return _sweep(result.taus(), can, correct, labels.within_map)
 
@@ -235,11 +238,15 @@ def score_wakeup(results: list[WakeupResult], labels: GroundTruthLabel) -> Wakeu
     converged trials; unconverged trials never propose.
     """
     frames = np.array([r.start + r.steps_used for r in results], dtype=int)
-    late = np.flatnonzero(frames >= len(labels))
-    if late.size:
-        raise DataError(f"trial {results[late[0]].trial} decision frame beyond the labels")
+    outside = np.flatnonzero((frames < 0) | (frames >= len(labels)))
+    if outside.size:
+        raise DataError(f"trial {results[outside[0]].trial} decision frame outside the labels")
     can = np.array([r.converged for r in results], dtype=bool)
-    proposals = np.array([r.proposal if r.converged else -1 for r in results], dtype=int)
+    proposals = np.array([-1 if r.proposal is None else r.proposal for r in results], dtype=int)
+    bad = np.flatnonzero(can & (proposals < 0))
+    if bad.size:
+        r = results[bad[0]]
+        raise DataError(f"trial {r.trial} converged with proposal {r.proposal}, not a node")
     correct = can & _acceptable(labels, frames, proposals)
     taus = np.array([r.tau for r in results], dtype=float)
     dist = np.array([r.distance_traveled for r in results], dtype=float)

@@ -25,14 +25,14 @@ with ``|mu_theta - l_theta| >= pi / 2`` (none if ``|mu_theta| + max |l_theta| <
 pi / 2``), where the unwrapped expansion could err, use the exact ``geometry`` kernel.
 The softmax skips ``exp`` where it rounds to 0, a slow underflow path on S2.
 
-A stack is built, and a :class:`TransitionStack` checked, in blocks of
-``_CHUNK`` steps that one thread per CPU the process may run on
-(``os.sched_getaffinity``) takes in order from a shared queue; a stack of at
-most ``_CHUNK`` steps, such as :func:`build_transition_model`'s, runs inline.
-Step ``s``'s model comes from its own odometry rows only, through the same
-per-step products in whichever block and thread it lands, so no split changes a
-bit, and a failed check raises the error of the lowest failing step, as one
-serial pass would.
+A stack is built and checked in blocks of ``_CHUNK`` steps that one thread
+per CPU the process may run on (``os.sched_getaffinity``) takes in order from a
+shared queue; a stack of at most ``_CHUNK`` steps, such as
+:func:`build_transition_model`'s, runs inline.  Step ``s``'s model comes from
+its own odometry rows only, through the same per-step products in whichever
+block and thread it lands, so no split changes a bit, and a failed check raises
+the error of the lowest failing step, as one serial pass would.  A
+:class:`TransitionStack` only holds what a build checked.
 
 :class:`TransitionStore` keeps the models of a query's steps per map and
 :class:`MotionParams`, built by as few :func:`build_transitions` calls as its
@@ -115,90 +115,47 @@ class MotionParams:
 _CHUNK = 16
 
 
-def _check_shapes(within_probs, to_off, off_self, valid):
-    """The whole-stack checks of :class:`TransitionStack`, made before any block runs."""
-    if within_probs.ndim != 3:
-        raise ValueError("within_probs must be (steps, window, N)")
-    steps, w, n = within_probs.shape
-    if w < 1 or n < 1:
-        raise ValueError("within_probs must be non-empty")
-    if to_off.shape != (steps, n) or off_self.shape != (steps,) or valid.shape != (w, n):
-        raise ValueError("shape mismatch between within_probs, to_off, off_self, valid")
-    if valid[0, :-1].any():
-        raise ValueError("offset 0 holds only the final node's self-transition")
-    if not np.all((0.0 <= off_self) & (off_self <= 1.0)):
-        raise ValueError("off_self must lie in [0, 1]")
-
-
 def _check_steps(within, stay, off, valid):
-    """The per-entry checks of a few steps' band, offset-0 entries and ``to_off``.
+    """The per-entry checks of a few steps' models, as :class:`TransitionStack` holds them.
 
-    ``within`` ``(S, window - 1, N)`` holds offsets 1 up; ``stay`` ``(S, k)``
-    offset 0 of the last ``k`` nodes: a full band's whole row, or a build's
-    final node.
+    ``within`` ``(S, window - 1, N)`` holds offsets 1 up, ``stay`` ``(S,)`` the
+    final node's offset-0 entry and ``off`` ``(S, N)`` the transitions off the map.
     """
-    k = stay.shape[1]
-    if np.any((within != 0.0) & ~valid[1:]) or np.any((stay != 0.0) & ~valid[0, -k:]):
+    if np.any((within != 0.0) & ~valid[1:]) or np.any((stay != 0.0) & ~valid[0, -1]):
         raise ValueError("probabilities outside the edge set must be zero")
     if min(within.min(initial=0.0), stay.min(initial=0.0), off.min(initial=0.0)) < -1e-12:
         raise ValueError("negative transition probability")
     total = within.sum(axis=1)
-    total[:, -k:] += stay
+    total[:, -1] += stay
     if np.abs(total + off - 1.0).max(initial=0.0) > 1e-9:
         raise ValueError("transition rows must sum to 1 within 1e-9")
 
 
 class TransitionStack:
-    """The transition models of ``S`` steps over one map.
+    """The transition models of ``S`` steps over one map, read-only.
 
-    ``within_probs[s]`` ``(S, window - 1, N)``, ``stay[s]`` ``(S,)``,
-    ``to_off[s]`` ``(S, N)`` and ``off_self[s]`` ``(S,)`` are step ``s``'s
-    :class:`TransitionModel` arrays; ``valid`` ``(window, N)`` is the map's
-    edge set, shared by every step.  Construction takes the full ``(S, window,
-    N)`` band, offset 0 first, whose offset 0 may hold only the final node's
-    self-transition; it checks the whole stack once, its shapes first and then
-    its entries in ``_CHUNK``-step blocks across the CPUs, raising the lowest
-    failing step's error, and keeps offsets 1 up and the final node's offset-0
-    entry as ``stay``.  ``stack[s]`` is step ``s``'s model, a read-only view
-    that is not checked again.  A stack that :meth:`TransitionStore.stack`
-    hands out holds ``within_probs`` and ``to_off`` as tuples of per-step rows
-    of the checked arrays its builds made, so ``[s]`` reads the same rows.
+    ``within_probs[s]`` ``(window - 1, N)``, ``stay[s]`` and ``to_off[s]``
+    ``(N,)`` are step ``s``'s :class:`TransitionModel` arrays; ``off_self``, the
+    off-map self-transition, and ``valid`` ``(window, N)``, the map's edge set,
+    are shared by every step.  Every model a stack holds was checked by the
+    :func:`build_transitions` call that built it; construction only holds the
+    arrays, read-only, and ``stack[s]`` is step ``s``'s model, a view.  A
+    stack that :meth:`TransitionStore.stack` hands out holds ``within_probs``
+    and ``to_off`` as tuples of per-step rows of the checked arrays its builds
+    made, so ``[s]`` reads the same rows.
     """
 
-    def __init__(self, within_probs, to_off, off_self, valid):
-        within_probs = np.asarray(within_probs, dtype=float)
-        to_off = np.asarray(to_off, dtype=float)
-        off_self = np.asarray(off_self, dtype=float)
-        valid = np.asarray(valid, dtype=bool)
-        _check_shapes(within_probs, to_off, off_self, valid)
-        run_blocks(
-            lambda lo, hi: _check_steps(
-                within_probs[lo:hi, 1:], within_probs[lo:hi, 0], to_off[lo:hi], valid
-            ),
-            len(to_off),
-            _CHUNK,
-        )
-        self._set(within_probs[:, 1:], within_probs[:, 0, -1], to_off, off_self, valid)
-
-    def _set(self, within_probs, stay, to_off, off_self, valid) -> "TransitionStack":
-        """Holds step rows that passed ``_check_shapes`` and ``_check_steps``, read-only.
-
-        ``within_probs`` and ``to_off`` are whole arrays, or tuples of one
-        read-only row per step taken from the arrays of other stacks.
-        """
-        self.within_probs = within_probs
-        self.stay = stay
-        self.to_off = to_off
+    def __init__(self, within_probs, stay, to_off, off_self: float, valid):
+        self.within_probs, self.stay, self.to_off = within_probs, stay, to_off
         self.off_self = off_self
         self.valid = valid
         self.window, self.n_nodes = valid.shape
-        for arr in (within_probs, stay, to_off, off_self, valid):
+        for arr in (within_probs, stay, to_off, valid):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
-        return self
 
     def __len__(self) -> int:
-        return len(self.off_self)
+        return len(self.stay)
 
     def __getitem__(self, s: int) -> "TransitionModel":
         return TransitionModel(self, s)
@@ -211,9 +168,10 @@ class TransitionModel:
     probability of ``i -> i + k`` for ``k >= 1``, ``stay`` that of the final
     node's self-transition, the one edge at offset 0, and ``to_off[i]`` the
     probability of ``i -> off``.  The off-map row is ``off_self`` on itself
-    and uniform ``(1 - off_self) / N`` into each node.  The stack checked the
-    rows; this is a read-only view of them, and :meth:`propagate` is
-    :class:`BandKernel`'s, never forming the dense matrix.
+    and uniform ``(1 - off_self) / N`` into each node, for every step of the
+    stack.  The build that made the stack checked the rows; this is a read-only
+    view of them, and :meth:`propagate` is :class:`BandKernel`'s, never forming
+    the dense matrix.
     """
 
     def __init__(self, stack: TransitionStack, s: int):
@@ -221,7 +179,7 @@ class TransitionModel:
         self.within_probs = stack.within_probs[s]
         self.stay = float(stack.stay[s])
         self.to_off = stack.to_off[s]
-        self.off_self = float(stack.off_self[s])
+        self.off_self = stack.off_self
         self.valid = stack.valid
         self.n_nodes = stack.n_nodes
         self.window = stack.window
@@ -249,7 +207,7 @@ class BandKernel:
 
     def forward(self, stack: TransitionStack, s: int, alpha: np.ndarray) -> np.ndarray:
         """``alpha @ E`` for step ``s`` of ``stack``: a new ``(N + 1,)`` array."""
-        n, off_self = stack.n_nodes, stack.off_self[s]
+        n, off_self = stack.n_nodes, stack.off_self
         pred = np.empty(n + 1)
         np.multiply(stack.within_probs[s], alpha[:n], out=self._products[1:])
         self._products[0, n - 1] = stack.stay[s] * alpha[n - 1]  # the rest of row 0 stays 0
@@ -260,7 +218,7 @@ class BandKernel:
 
     def backward(self, stack: TransitionStack, s: int, v: np.ndarray) -> np.ndarray:
         """``E @ v`` for step ``s`` of ``stack``: a new ``(N + 1,)`` array."""
-        n, off_self = stack.n_nodes, stack.off_self[s]
+        n, off_self = stack.n_nodes, stack.off_self
         out = np.empty(n + 1)
         self._message[:n] = v[:n]
         np.multiply(stack.within_probs[s], self._shifted_message[1:], out=self._products[1:])
@@ -315,15 +273,14 @@ def build_transitions(
     n = map_.n_nodes
     valid = map_.edge_geometry[3]
     steps = len(odom_means)
-    off_self = np.full(steps, params.off_self)
+    off_self = float(params.off_self)
 
     if params.mode == "no_odom":
         to_off = np.full(n, params.no_odom_off)
-        counts = valid.sum(axis=0)
-        probs = np.where(valid[1:], (1.0 - to_off)[None, :] / counts[None, :], 0.0)
+        probs = np.where(valid[1:], (1.0 - to_off) / valid.sum(axis=0), 0.0)
         stay = 1.0 - to_off[-1:]  # (1 - to_off) / 1 at the final node
-        _check_steps(probs[None], stay[None], to_off[None], valid)  # the model of every step
-        return TransitionStack.__new__(TransitionStack)._set(
+        _check_steps(probs[None], stay, to_off[None], valid)  # the model of every step
+        return TransitionStack(
             np.broadcast_to(probs, (steps,) + probs.shape),
             np.broadcast_to(stay, (steps,)),
             np.broadcast_to(to_off, (steps, n)),
@@ -371,10 +328,10 @@ def build_transitions(
         table /= np.maximum(table.sum(axis=1), 1.0)[:, None]
         table *= 1.0 - to_off[part][:, None]
         stay[part] = 1.0 - to_off[part, -1]  # the softmax over its stay column alone is 1
-        _check_steps(table, stay[part, None], to_off[part], valid)
+        _check_steps(table, stay[part], to_off[part], valid)
 
     run_blocks(build, steps, _CHUNK)
-    return TransitionStack.__new__(TransitionStack)._set(within, stay, to_off, off_self, valid)
+    return TransitionStack(within, stay, to_off, off_self, valid)
 
 
 class TransitionStore:
@@ -391,7 +348,7 @@ class TransitionStore:
 
     def __init__(self, odom_means: np.ndarray, odom_covs: np.ndarray):
         self._odom_means, self._odom_covs = odom_means, odom_covs
-        # map -> {params: (within rows, to_off rows, (stay, off_self))}, one entry per step
+        # map -> {params: (within rows, to_off rows, stay)}, one entry per step
         self._held = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 
@@ -414,8 +371,8 @@ class TransitionStore:
         with self._lock:
             by_params = self._held.setdefault(map_, {})
             if params not in by_params:
-                by_params[params] = ([None] * total, [None] * total, np.empty((2, total)))
-            within, to_off, stay_off = by_params[params]
+                by_params[params] = ([None] * total, [None] * total, np.empty(total))
+            within, to_off, stay = by_params[params]
             missing = sorted({s for s in steps if within[s] is None})
             if missing:
                 built = build_transitions(
@@ -423,28 +380,18 @@ class TransitionStore:
                 )
                 for row, s in enumerate(missing):
                     within[s], to_off[s] = built.within_probs[row], built.to_off[row]
-                stay_off[:, missing] = built.stay, built.off_self
-            stay, off_self = stay_off[:, steps]
-        return TransitionStack.__new__(TransitionStack)._set(
-            tuple(within[s] for s in steps),
-            stay,
-            tuple(to_off[s] for s in steps),
-            off_self,
-            map_.edge_geometry[3],
-        )
+                stay[missing] = built.stay
+            return TransitionStack(
+                tuple(within[s] for s in steps),
+                stay[steps],
+                tuple(to_off[s] for s in steps),
+                float(params.off_self),
+                map_.edge_geometry[3],
+            )
 
 
 def build_transition_model(
-    map_: TopometricMap, odom: OdometryStep | None, params: MotionParams
+    map_: TopometricMap, odom: OdometryStep, params: MotionParams
 ) -> TransitionModel:
-    """One step's transition model: :func:`build_transitions` of a single step.
-
-    ``odom`` may be ``None`` only in ``no_odom`` mode, where it is ignored.
-    """
-    if odom is not None:
-        mean, cov = odom.mean.as_array(), odom.cov.matrix
-    elif params.mode == "no_odom":
-        mean, cov = np.zeros(3), np.eye(3)
-    else:
-        raise ValueError(f"mode {params.mode!r} requires an odometry step")
-    return build_transitions(map_, mean[None], cov[None], params)[0]
+    """One step's transition model: :func:`build_transitions` of a single step."""
+    return build_transitions(map_, odom.mean.as_array()[None], odom.cov.matrix[None], params)[0]

@@ -12,7 +12,8 @@ in its own oracle.  The exceptions are ``min_mahalanobis_on_segment(s)``,
 thin wrappers over the library's segment kernel (``segment_directions``
 followed by ``min_mahalanobis_on_directed_segments``) that let a test score
 raw endpoint rows; a check that needs the kernel itself verified compares
-against ``grid_min_mahalanobis`` instead.
+against ``grid_min_mahalanobis`` instead; and ``band_stack``, which holds a
+test's full band as a ``TransitionStack`` after the checks a build makes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
+from topoloc import motion
 from topoloc.errors import DataError
 from topoloc.evaluate import GroundTruthLabel
 from topoloc.geometry import (
@@ -87,13 +89,14 @@ def random_banded_model(rng, n, t_steps, window=3):
 
     Mirrors the structure the filter consumes: state n is off-map, rows of
     the within block only reach forward up to ``window - 1`` nodes, the off
-    row is a self-loop plus uniform re-entry.  Returns (prior, transitions,
-    likelihoods) with dense (n+1, n+1) matrices.
+    row is a self-loop plus uniform re-entry, the same at every step.  Returns
+    (prior, transitions, likelihoods) with dense (n+1, n+1) matrices.
     """
     s = n + 1
     p0_off = rng.uniform(0.0, 0.5)
     prior = np.full(s, (1.0 - p0_off) / n)
     prior[n] = p0_off
+    off_self = rng.uniform(0.2, 0.95)
 
     transitions = []
     for _ in range(t_steps):
@@ -106,7 +109,6 @@ def random_banded_model(rng, n, t_steps, window=3):
             for j, p in zip(js, raw):
                 m[i, j] = p
             m[i, n] = to_off
-        off_self = rng.uniform(0.2, 0.95)
         m[n, :n] = (1.0 - off_self) / n
         m[n, n] = off_self
         transitions.append(m)
@@ -313,12 +315,28 @@ def full_band(model) -> np.ndarray:
     """A model's ``(window, N)`` band, or a stack's ``(S, window, N)``, offset 0 first.
 
     Offset 0 is zero but for the final node's ``stay``; offsets 1 up are
-    ``within_probs``.  This is the layout ``TransitionStack`` accepts.
+    ``within_probs``.  This is the layout ``band_stack`` accepts.
     """
     within = np.asarray(model.within_probs, dtype=float)
     first = np.zeros(within.shape[:-2] + (1, model.n_nodes))
     first[..., 0, -1] = model.stay
     return np.concatenate([first, within], axis=-2)
+
+
+def band_stack(band, to_off, off_self, valid) -> motion.TransitionStack:
+    """Full ``(S, window, N)`` bands, offset 0 first, as a checked ``TransitionStack``.
+
+    Offset 0 may hold only the final node's self-transition, its ``stay``;
+    the stack keeps offsets 1 up, and ``motion._check_steps`` checks every
+    step as a build would.
+    """
+    band = np.asarray(band, dtype=float)
+    to_off = np.asarray(to_off, dtype=float)
+    valid = np.asarray(valid, dtype=bool)
+    assert not valid[0, :-1].any() and not band[:, 0, :-1].any(), "offset 0 off the final node"
+    within, stay = band[:, 1:], band[:, 0, -1]
+    motion._check_steps(within, stay, to_off, valid)
+    return motion.TransitionStack(within, stay, to_off, float(off_self), valid)
 
 
 def within(model, i: int) -> list[tuple[int, float]]:

@@ -11,18 +11,19 @@ import pytest
 
 from topoloc import _blocks
 from topoloc.bench import run_benchmark
+from topoloc.errors import DataError
 from topoloc.geometry import Covariance3, OdometryStep, Pose2
 from topoloc.mapping import TopometricMap
 from topoloc.measurement import MeasurementParams, descriptor_distances, likelihood_vector
 from topoloc.motion import (
+    _CHUNK,
     MOTION_MODES,
     MotionParams,
-    TransitionStack,
     build_transition_model,
     build_transitions,
 )
 
-from oracles import full_band, relative
+from oracles import relative
 
 STEP_COUNTS = (1, 15, 16, 17, 100)
 WORKERS = (1, 2, 3, 5)
@@ -112,7 +113,7 @@ def test_stacks_built_in_blocks_equal_the_one_worker_build(workers, mode):
             assert np.array_equal(got.within_probs, want.within_probs)
             assert np.array_equal(got.stay, want.stay)
             assert np.array_equal(got.to_off, want.to_off)
-            assert np.array_equal(got.off_self, want.off_self)
+            assert got.off_self == want.off_self == params.off_self
 
 
 def test_distances_in_blocks_equal_the_one_worker_rows(workers):
@@ -126,33 +127,20 @@ def test_distances_in_blocks_equal_the_one_worker_rows(workers):
             assert np.array_equal(descriptor_distances(queries[:rows], m), want)
 
 
-def test_lowest_block_error_is_raised(workers):
-    m, means, covs, _ = curvy_problem()
-    good = build_transitions(m, means, covs, MotionParams())
-    # a lower step that no longer sums to one, in block 0 or in a later block
-    # (1 of 3, 1 of 5), and an entry outside the edge set at step 97, in the
-    # last block of every split; step 60 alone has a negative entry
-    cases = {}
-    for lower in (5, 50):
-        within = full_band(good)
-        within[lower, 1, 3] += 1e-6
-        within[97, 0, 0] = 1e-3
-        cases[lower] = (within, good.to_off)
-    to_off = good.to_off.copy()
-    to_off[60, 2] = -1e-3
-    cases["alone"] = (full_band(good), to_off)
-    messages = {}
-    for count in WORKERS:
+def test_build_raises_the_lowest_failing_steps_error(workers):
+    # steps whose d2 overflows (far from every edge under a tiny covariance) in
+    # block 0 and in the last block, or in the last block alone
+    steps = 2 * _CHUNK + 3
+    m, means, covs, _ = curvy_problem(n_steps=steps)
+    for count in range(1, 5):
         workers(count)
-        for case, (within, to_off) in cases.items():
-            with pytest.raises(ValueError) as err:
-                TransitionStack(within, to_off, good.off_self, good.valid)
-            messages.setdefault(case, set()).add(str(err.value))
-    assert messages == {
-        5: {"transition rows must sum to 1 within 1e-9"},
-        50: {"transition rows must sum to 1 within 1e-9"},
-        "alone": {"negative transition probability"},
-    }
+        for failing in ([5, steps - 1], [steps - 1]):
+            bad_means, bad_covs = means.copy(), covs.copy()
+            bad_means[failing] = [[10.0 * s, 0.0, 0.0] for s in failing]
+            bad_covs[failing] = 1e-306 * np.eye(3)
+            with pytest.raises(DataError) as err:
+                build_transitions(m, bad_means, bad_covs, MotionParams())
+            assert str(err.value).startswith(f"odometry step [{10.0 * failing[0]}, 0.0, 0.0] ")
 
 
 def test_run_blocks_raises_the_lowest_blocks_exception(workers):
@@ -183,19 +171,6 @@ def test_run_blocks_raises_the_lowest_blocks_exception(workers):
     with pytest.raises(KeyError) as err:
         _blocks.run_blocks(fail_both, 2, 1)
     assert err.value.args == (0,)
-
-
-def test_shape_errors_come_before_any_block(refusing_pool):
-    m, means, covs, _ = curvy_problem()
-    good = build_transitions(m, means[:1], covs[:1], MotionParams())
-    within = np.repeat(full_band(good), 40, axis=0)
-    to_off = np.repeat(good.to_off, 40, axis=0)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        TransitionStack(within, to_off[:39], np.full(40, 0.9), good.valid)
-    with pytest.raises(ValueError, match="off_self"):
-        TransitionStack(within, to_off, np.full(40, 1.5), good.valid)
-    with pytest.raises(ValueError, match=r"\(steps, window, N\)"):
-        TransitionStack(within[0], to_off, np.full(40, 0.9), good.valid)
 
 
 def test_concurrent_callers_share_the_pool(workers):

@@ -360,18 +360,37 @@ def smoke_results(smoke_dir):
 )
 def test_mistyped_results_exit_3(tmp_path, smoke_dir, smoke_results, capsys,
                                  task, line, key, value):
+    assert _eval_edited(tmp_path, smoke_dir, smoke_results, task, line, {key: value}) == 3
+    assert f"{key}: expected" in _one_error_line(capsys, "data")
+
+
+def _eval_edited(tmp_path, smoke_dir, smoke_results, task, line, changes) -> int:
+    """``eval``'s exit code on the smoke results with ``changes`` made to one line."""
     lines = smoke_results[task].read_text().splitlines()
-    rec = json.loads(lines[line])
-    rec[key] = value
-    lines[line] = json.dumps(rec)
+    lines[line] = json.dumps({**json.loads(lines[line]), **changes})
     res = tmp_path / "r.jsonl"
     res.write_text("\n".join(lines) + "\n")
     data = smoke_dir / "data"
-    code = main(["eval", "--task", task, "--results", str(res),
+    return main(["eval", "--task", task, "--results", str(res),
                  "--map", str(data / "map.json"), "--query", str(data / "query.jsonl"),
                  "--out-curve", str(tmp_path / "pr.csv")])
-    assert code == 3
-    assert f"{key}: expected" in _one_error_line(capsys, "data")
+
+
+@pytest.mark.parametrize(
+    "task,changes,message",
+    [
+        ("lcd", {"proposal": -1}, "frame 0 proposes a negative node"),
+        ("wakeup", {"start": -3, "steps_used": 1}, "trial 0 decision frame outside the labels"),
+        ("wakeup", {"converged": True, "proposal": -1}, "trial 0 converged with proposal -1,"),
+        ("wakeup", {"converged": True, "proposal": None}, "trial 0 converged with proposal None,"),
+    ],
+)
+def test_negative_frames_and_proposals_exit_3(tmp_path, smoke_dir, smoke_results, capsys,
+                                               task, changes, message):
+    # numpy would wrap a negative frame to the end of the labels, and a negative
+    # proposal's pair key would name the previous frame's last node
+    assert _eval_edited(tmp_path, smoke_dir, smoke_results, task, 1, changes) == 3
+    assert message in _one_error_line(capsys, "data")
 
 
 def test_mistyped_map_exits_3(tmp_path, smoke_dir, smoke_results, capsys):
@@ -408,6 +427,15 @@ def test_bad_eval_tolerance_exits_2(tmp_path, smoke_dir, smoke_results, capsys, 
     assert code == 2
     assert flag in _one_error_line(capsys, "config")
     assert not (tmp_path / "labels.jsonl").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "1e400", "nan", "0"])
+def test_bad_node_spacing_flag_exits_2(tmp_path, smoke_dir, capsys, value):
+    code = main(["build-map", "--reference", str(smoke_dir / "data" / "reference.jsonl"),
+                 "--out", str(tmp_path / "map.json"), "--node-spacing", value])
+    assert code == 2
+    assert "node_spacing must be positive and finite" in _one_error_line(capsys, "config")
+    assert not (tmp_path / "map.json").exists()
 
 
 def test_negative_seed_exits_3(tmp_path, capsys):

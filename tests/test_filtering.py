@@ -28,10 +28,11 @@ from topoloc.filtering import (
 from topoloc.geometry import Pose2
 from topoloc.mapping import TopometricMap, build_map
 from topoloc.measurement import MeasurementParams, calibrate_lambda, likelihood_vector
-from topoloc.motion import MotionParams, TransitionStack, build_transitions
+from topoloc.motion import MotionParams, build_transitions
 from topoloc.simulate import builtin_scenarios, simulate_scenario
 
 from oracles import (
+    band_stack,
     enumerate_marginals,
     full_band,
     padded_convergence_scores,
@@ -41,34 +42,17 @@ from oracles import (
 )
 
 
-def dense_to_model(m, window=3):
-    """Repackage one of the oracle's dense matrices as a one-step model."""
-    n = m.shape[0] - 1
-    probs = np.zeros((window, n))
-    valid = np.zeros((window, n), dtype=bool)
-    for i in range(n):
-        for k in range(window):
-            j = i + k
-            if j < n and m[i, j] > 0.0:
-                probs[k, i] = m[i, j]
-                valid[k, i] = True
-        if not valid[:, i].any():
-            valid[0, i] = True  # terminal self-loop slot
-            probs[0, i] = m[i, i]
-    return TransitionStack(probs[None], m[None, :n, n], [m[n, n]], valid)[0]
-
-
 def dense_to_stack(transitions, n, window=3):
-    """The oracle's dense matrices, which share one edge set, as a TransitionStack."""
-    models = [dense_to_model(m, window) for m in transitions]
-    valid = np.zeros((window, n), dtype=bool)  # without steps, offset 0 of the final node alone
-    valid[0, -1] = True
-    return TransitionStack(
-        np.reshape([full_band(m) for m in models], (-1, window, n)),
-        np.reshape([m.to_off for m in models], (-1, n)),
-        [m.off_self for m in models],
-        models[0].valid if models else valid,
-    )
+    """The oracle's dense matrices, which share one edge set and ``off_self``, as a stack."""
+    band = np.zeros((len(transitions), window, n))
+    for s, m in enumerate(transitions):
+        for i in range(n):
+            for k in range(min(window, n - i)):
+                band[s, k, i] = m[i, i + k]
+    valid = (band != 0.0).any(axis=0)
+    valid[0, -1] = True  # without steps, offset 0 of the final node alone
+    to_off = np.reshape([m[:n, n] for m in transitions], (-1, n))
+    return band_stack(band, to_off, transitions[0][n, n] if transitions else 0.9, valid)
 
 
 def line_map(n, spacing=2.0):
@@ -151,20 +135,13 @@ def test_uninformative_future_leaves_filtered_untouched():
     # With the forward-only band the smallest doubly stochastic instance is
     # one node plus off: node keeps a, leaks 1-a; off returns 1-a, keeps a.
     a = 0.7
-    model = TransitionStack(
-        np.array([[[a]]]),
-        np.array([[1.0 - a]]),
-        [a],
-        np.ones((1, 1), dtype=bool),
-    )[0]
+    model = band_stack([[[a]]], [[1.0 - a]], a, [[True]])[0]
     dense = to_dense(model)
     assert np.allclose(dense.sum(axis=0), 1.0) and np.allclose(dense.sum(axis=1), 1.0)
     prior = init_belief(1, 0.35)
     g_first = np.array([0.8, 0.2])
     uniform = np.ones(2)
-    stack = TransitionStack(
-        [full_band(model)] * 2, [model.to_off] * 2, [a] * 2, model.valid
-    )
+    stack = band_stack([full_band(model)] * 2, [model.to_off] * 2, a, model.valid)
     trace = run_forward(prior, stack, [g_first, uniform, uniform])
     filtered = trace.alphas.copy()  # smoothing writes over the forward messages
     smoothed = smooth_pass(trace)
@@ -201,8 +178,8 @@ def test_smoothing_writes_over_the_forward_messages():
 def test_vanished_smoothed_mass_names_its_step():
     # node 0 moves to node 1 for sure, and frame 1 rules node 1 out: a trace no
     # forward pass makes, whose smoothed mass at step 0 is exactly zero
-    stack = TransitionStack(
-        [[[0.0, 1.0], [1.0, 0.0]]], [[0.0, 0.0]], [0.5], [[False, True], [True, False]]
+    stack = band_stack(
+        [[[0.0, 1.0], [1.0, 0.0]]], [[0.0, 0.0]], 0.5, [[False, True], [True, False]]
     )
     alphas = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     trace = FilterTrace(alphas, np.ones(2), stack, np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
@@ -217,9 +194,7 @@ def test_forward_step_normalizes_and_reports_scale():
     alpha0, c0 = forward_init(prior, g0)
     assert alpha0.sum() == pytest.approx(1.0)
     assert c0 == pytest.approx(float(prior.vector @ g0))
-    model = dense_to_model(
-        random_banded_model(np.random.default_rng(1), n=3, t_steps=1)[1][0]
-    )
+    model = dense_to_stack(random_banded_model(np.random.default_rng(1), n=3, t_steps=1)[1], 3)[0]
     alpha1, c1 = forward_step(alpha0, model, np.array([0.3, 0.3, 0.4, 0.1]))
     assert alpha1.sum() == pytest.approx(1.0)
     assert c1 > 0.0

@@ -18,13 +18,13 @@ from topoloc.mapping import TopometricMap, build_map
 from topoloc.motion import (
     MOTION_MODES,
     MotionParams,
-    TransitionStack,
     build_transition_model,
     build_transitions,
 )
 from topoloc.simulate import builtin_scenarios, simulate_scenario
 
 from oracles import (
+    band_stack,
     full_band,
     mahalanobis_sq,
     min_mahalanobis_on_segment,
@@ -189,19 +189,14 @@ def test_no_off_mode_zeroes_gate_and_renormalizes():
 def test_no_odom_mode_is_uniform_and_ignores_odometry():
     m = line_map()
     params = MotionParams(mode="no_odom")
-    a = build_transition_model(m, None, params)
+    a = build_transition_model(m, step(2.0), params)
     b = build_transition_model(m, step(17.0, -3.0, 1.0), params)
-    assert np.allclose(to_dense(a), to_dense(b))
+    assert np.array_equal(to_dense(a), to_dense(b))
     assert np.all(a.to_off == params.no_odom_off)
+    assert a.off_self == params.off_self
     probs = within(a, 4)
     vals = [p for _, p in probs]
     assert np.allclose(vals, vals[0])
-
-
-def test_full_mode_requires_odometry():
-    m = line_map()
-    with pytest.raises(ValueError):
-        build_transition_model(m, None, MotionParams())
 
 
 def test_propagate_agrees_with_dense_product():
@@ -222,7 +217,7 @@ def test_propagate_agrees_with_dense_product():
 def random_band_stack(rng, n, window, steps):
     """A checked stack over a random edge set: edges dropped at random, every
     node left without one sends all its mass off the map, the final node keeps
-    its stay slot; ``to_off`` and ``off_self`` include exact 0 and 1."""
+    its stay slot; ``to_off`` and the stack's ``off_self`` include exact 0 and 1."""
     valid = np.zeros((window, n), dtype=bool)
     for k in range(1, window):
         valid[k, : max(n - k, 0)] = rng.uniform(size=max(n - k, 0)) < 0.8
@@ -235,8 +230,7 @@ def random_band_stack(rng, n, window, steps):
     sums = raw.sum(axis=1, keepdims=True)
     probs = np.divide(raw, sums, out=np.zeros_like(raw), where=sums > 0.0)
     probs *= (1.0 - to_off)[:, None]
-    off_self = rng.choice([0.0, 0.3, 0.9, 1.0], size=steps)
-    return TransitionStack(probs, to_off, off_self, valid)
+    return band_stack(probs, to_off, rng.choice([0.0, 0.3, 0.9, 1.0]), valid)
 
 
 def band_messages(rng, n):
@@ -369,14 +363,9 @@ def test_stay_column_scores_identity_pose():
 
 
 def test_transition_model_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        TransitionStack(
-            np.array([[[0.5]]]), np.array([[0.4]]), [0.9], np.ones((1, 1), dtype=bool)
-        )  # row sums to 0.9
-    with pytest.raises(ValueError, match="off_self"):
-        TransitionStack(
-            np.array([[[0.5]]]), np.array([[0.5]]), [1.5], np.ones((1, 1), dtype=bool)
-        )
+    with pytest.raises(ValueError, match="sum to 1"):  # the one node's row sums to 0.9
+        motion._check_steps(np.zeros((1, 0, 1)), np.array([0.5]), np.array([[0.4]]),
+                            np.ones((1, 1), dtype=bool))
     with pytest.raises(ValueError):
         build_transition_model(line_map(), step(2.0), MotionParams(mode="sideways"))
 
@@ -451,6 +440,7 @@ def test_stacked_models_equal_one_step_models(problem, mode):
     params = MotionParams(mode=mode)
     stack = build_transitions(m, means, covs, params)
     assert len(stack) == len(steps)
+    assert stack.off_self == params.off_self
     for s, odom in enumerate(steps):
         one = build_transition_model(m, odom, params)
         assert np.array_equal(stack.within_probs[s], one.within_probs)
@@ -463,49 +453,33 @@ def test_stacked_models_equal_one_step_models(problem, mode):
     assert np.abs(rows - 1.0).max() < 1e-9
 
 
-def test_stack_checks_every_step():
-    m = line_map()
+def test_step_checks_name_each_corruption():
+    # what each block of a build checks, on a built stack's arrays corrupted one at a time
     good = build_transitions(
-        m, np.array([[2.0, 0.0, 0.0]] * 3), np.stack([np.eye(3) * 0.01] * 3), MotionParams()
-    )
-    within = full_band(good)
-    within[2, 1, 4] += 1e-6  # node 4 of the last step no longer sums to one
-    with pytest.raises(ValueError, match="sum to 1"):
-        TransitionStack(within, good.to_off, good.off_self, good.valid)
-    within = full_band(good)
-    within[1, 0, 0] = 1e-3  # offset 0 exists only for the final node
-    with pytest.raises(ValueError, match="outside the edge set"):
-        TransitionStack(within, good.to_off, good.off_self, good.valid)
-
-    # a stack longer than one check block, corrupted only in its last block
-    steps = 2 * motion._CHUNK + 3
-    good = build_transitions(
-        m, np.array([[2.0, 0.0, 0.0]] * steps), np.stack([np.eye(3) * 0.01] * steps),
+        line_map(), np.array([[2.0, 0.0, 0.0]] * 3), np.stack([np.eye(3) * 0.01] * 3),
         MotionParams(),
     )
-    last = steps - 1
-    within = full_band(good)
-    within[last, 1, 4] += 1e-6
-    with pytest.raises(ValueError, match="sum to 1"):
-        TransitionStack(within, good.to_off, good.off_self, good.valid)
-    within = full_band(good)
-    within[last, 0, 0] = 1e-3
-    with pytest.raises(ValueError, match="outside the edge set"):
-        TransitionStack(within, good.to_off, good.off_self, good.valid)
+
+    def check(within=good.within_probs, stay=good.stay, to_off=good.to_off):
+        motion._check_steps(within, stay, to_off, good.valid)
+
+    check()
+    within = good.within_probs.copy()
+    within[2, 0, 4] += 1e-6  # node 4 of the last step no longer sums to one
+    with pytest.raises(ValueError, match="^transition rows must sum to 1 within 1e-9$"):
+        check(within=within)
+    stay = good.stay.copy()
+    stay[1] += 1e-6  # nor does the final node of step 1
+    with pytest.raises(ValueError, match="^transition rows must sum to 1 within 1e-9$"):
+        check(stay=stay)
+    within = good.within_probs.copy()
+    within[1, 0, -1] = 1e-3  # the final node has no edge at offset 1
+    with pytest.raises(ValueError, match="^probabilities outside the edge set must be zero$"):
+        check(within=within)
     to_off = good.to_off.copy()
-    to_off[last, 3] = -1e-3
-    with pytest.raises(ValueError, match="negative transition probability"):
-        TransitionStack(full_band(good), to_off, good.off_self, good.valid)
-
-
-def test_stack_rejects_an_offset_0_slot_off_the_final_node():
-    good = build_transitions(
-        line_map(), np.array([[2.0, 0.0, 0.0]] * 2), np.stack([np.eye(3) * 0.01] * 2), MotionParams()
-    )
-    valid = good.valid.copy()
-    valid[0, 3] = True  # a self-transition slot the compact band has no room for
-    with pytest.raises(ValueError, match="offset 0 holds only the final node"):
-        TransitionStack(full_band(good), good.to_off, good.off_self, valid)
+    to_off[2, 3] = -1e-3
+    with pytest.raises(ValueError, match="^negative transition probability$"):
+        check(to_off=to_off)
 
 
 def test_stay_is_the_final_nodes_on_map_mass_bit_for_bit():

@@ -341,7 +341,7 @@ def test_lcd_working_set_is_the_stack_the_messages_and_one_distance_table():
     m = build_map(ref, 2.0, 5)
     run_lcd(m, pickle.loads(pickle.dumps(query)), PipelineParams())  # a copy with its own store
     n, frames, window = m.n_nodes, len(query), m.window
-    stack = (frames - 1) * (window * n * 8 + 16)  # offsets 1 up and to_off; stay, off_self
+    stack = (frames - 1) * (window * n * 8 + 8)  # offsets 1 up and to_off; stay
     messages = 2 * frames * (n + 1) * 8
     distances = frames * n * 8
     scratch = _blocks._WORKERS * 5 * motion._CHUNK * ((window - 1) * n + 1) * 8
