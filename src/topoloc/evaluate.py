@@ -237,6 +237,9 @@ def score_wakeup(results: list[WakeupResult], labels: GroundTruthLabel) -> Wakeu
     when it is off-map.  The sweep re-thresholds the recorded tau of
     converged trials; unconverged trials never propose.
     """
+    short = [r for r in results if r.steps_used < 1]
+    if short:
+        raise DataError(f"trial {short[0].trial} steps_used {short[0].steps_used} is below 1")
     frames = np.array([r.start + r.steps_used for r in results], dtype=int)
     outside = np.flatnonzero((frames < 0) | (frames >= len(labels)))
     if outside.size:

@@ -3,10 +3,10 @@
 A world is a smooth random-curvature path sampled at a fine resolution, each
 sample carrying a latent unit appearance descriptor whose similarity decays
 with arc-length separation.  Traverses are rendered along the path (optionally
-replaced by off-map detours on sub-intervals), with appearance noise and
-per-meter odometry noise.  All randomness flows from one integer seed through
-independent named streams (``numpy`` seed sequences), so reruns are
-bit-identical and stream use in one stage cannot perturb another.
+displaced sideways by off-map detours on sub-intervals), with appearance
+noise and per-meter odometry noise.  All randomness flows from one integer
+seed through independent named streams (``numpy`` seed sequences), so reruns
+are bit-identical and stream use in one stage cannot perturb another.
 """
 
 from __future__ import annotations
@@ -47,29 +47,22 @@ _STREAM_RENDER = 1
 
 @dataclass(frozen=True)
 class Detour(Record):
-    """An off-map excursion replacing the path between two arc positions.
+    """An off-map excursion displacing the path between two arc positions.
 
-    Without explicit ``geometry`` the excursion is a smooth lateral bump:
-    the path samples inside the interval are displaced along their normals
-    by ``offset_m * sin(pi * progress)``.  An explicit polyline (sequence of
-    ``(x, y)`` points) overrides the bump.
+    The excursion is a smooth lateral bump: the path samples strictly inside
+    the interval are displaced along their normals by ``offset_m * sin(pi *
+    progress)``, one for one, so the route keeps the path's sampling.
     """
 
     start_s: float
     end_s: float
     offset_m: float = 14.0
-    geometry: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
         if not self.end_s > self.start_s:
             raise DataError("detour end_s must exceed start_s")
-        if self.geometry is None and not self.offset_m > 0.0:
+        if not self.offset_m > 0.0:
             raise DataError("detour offset_m must be positive")
-        if self.geometry is not None:
-            geom = tuple((float(x), float(y)) for x, y in self.geometry)
-            if len(geom) < 2:
-                raise DataError("explicit detour geometry needs >= 2 points")
-            object.__setattr__(self, "geometry", geom)
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,6 @@ class RouteSpec(Record):
     cov_floor_theta: float = 0.02
     margin_m: float = 0.0
     detours: tuple[Detour, ...] = ()
-    detour_alias: bool = False
 
     def __post_init__(self):
         if not self.spacing > 0.0:
@@ -126,13 +118,11 @@ class ScenarioSpec(Record):
 
 @dataclass(eq=False)
 class World:
-    """A sampled path with latent appearance descriptors."""
+    """A path sampled every 0.5 m, with a latent appearance descriptor per sample."""
 
     positions: np.ndarray
     headings: np.ndarray
     latents: np.ndarray
-    resolution: float
-    seed: int
 
     @property
     def n_samples(self) -> int:
@@ -175,13 +165,7 @@ def generate_world(seed: int, length_m: float = 2000.0, d: int = 64) -> World:
     norms = np.linalg.norm(smooth, axis=1, keepdims=True)
     latents = (smooth / norms).astype(np.float32)
 
-    return World(
-        positions=positions,
-        headings=headings,
-        latents=latents,
-        resolution=_RESOLUTION_M,
-        seed=int(seed),
-    )
+    return World(positions=positions, headings=headings, latents=latents)
 
 
 def _gaussian_rows(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -215,68 +199,44 @@ def _gaussian_rows(x: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _bump_points(world: World, i0: int, i1: int, offset_m: float) -> np.ndarray:
-    """Lateral-offset excursion built on the path samples strictly inside (i0, i1)."""
-    idx = np.arange(i0 + 1, i1)
-    frac = (idx - i0) / (i1 - i0)
-    prof = offset_m * np.sin(math.pi * frac)
-    normals = np.stack(
-        [-np.sin(world.headings[idx]), np.cos(world.headings[idx])], axis=1
-    )
-    return world.positions[idx] + prof[:, None] * normals
-
-
-def _composite_polyline(world: World, route: RouteSpec):
-    """Dense route points with per-point detour flags and latent source indices."""
+def _route_points(world: World, route: RouteSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The path samples with each detour's interior displaced, and per-sample detour flags."""
     m = world.n_samples
     detours = sorted(route.detours, key=lambda d: d.start_s)
     for a, b in zip(detours[:-1], detours[1:]):
         if b.start_s < a.end_s:
             raise DataError("detours must not overlap")
-    pts: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
-    srcs: list[np.ndarray] = []
-    cursor = 0
+    pts = world.positions.copy()
+    flags = np.zeros(m, dtype=bool)
     for det in detours:
-        i0 = int(round(det.start_s / world.resolution))
-        i1 = int(round(det.end_s / world.resolution))
+        i0 = int(round(det.start_s / _RESOLUTION_M))
+        i1 = int(round(det.end_s / _RESOLUTION_M))
         if i0 < 0 or i1 > m - 1:
             raise DataError("detour lies outside the path extent")
         if i1 - i0 < 2:
             raise DataError("detour is too short for the path resolution")
-        pts.append(world.positions[cursor : i0 + 1])
-        flags.append(np.zeros(i0 + 1 - cursor, dtype=bool))
-        srcs.append(np.arange(cursor, i0 + 1))
-        if det.geometry is not None:
-            dpts = np.array(det.geometry, dtype=float)
-        else:
-            dpts = _bump_points(world, i0, i1, det.offset_m)
-        pts.append(dpts)
-        flags.append(np.ones(len(dpts), dtype=bool))
-        srcs.append(
-            np.linspace(i0 + 1, i1 - 1, num=len(dpts)).round().astype(int)
-        )
-        cursor = i1
-    pts.append(world.positions[cursor:])
-    flags.append(np.zeros(m - cursor, dtype=bool))
-    srcs.append(np.arange(cursor, m))
-    return np.concatenate(pts), np.concatenate(flags), np.concatenate(srcs)
+        idx = np.arange(i0 + 1, i1)
+        prof = det.offset_m * np.sin(math.pi * ((idx - i0) / (i1 - i0)))
+        normals = np.stack([-np.sin(world.headings[idx]), np.cos(world.headings[idx])], axis=1)
+        pts[idx] = world.positions[idx] + prof[:, None] * normals
+        flags[idx] = True
+    return pts, flags
 
 
 def render_traverse(world: World, route: RouteSpec, seed: int) -> Traverse:
     """Render one traverse of the world along the (possibly detoured) route.
 
     Frames are sampled every ``route.spacing`` meters of route arc length.
-    On-map frames perturb the nearest path sample's latent descriptor;
-    detour frames draw fresh random unit descriptors (or, with
-    ``detour_alias``, reuse latents from the diametrically opposite world
-    region).  Odometry is the exact relative pose between consecutive
-    ground-truth poses composed with zero-mean noise scaled per meter; with
-    all noise scales at zero the rendered odometry is exact and on-map
-    descriptors equal the latents bit for bit.
+    The route is the path with each detour's interior samples displaced one
+    for one, so route sample ``i`` is path sample ``i``: on-map frames
+    perturb the nearest route sample's latent descriptor, and detour frames
+    draw fresh random unit descriptors.  Odometry is the exact relative pose
+    between consecutive ground-truth poses composed with zero-mean noise
+    scaled per meter; with all noise scales at zero the rendered odometry is
+    exact and on-map descriptors equal the latents bit for bit.
     """
     rng = np.random.default_rng([int(seed), _STREAM_RENDER])
-    pts, flags, srcs = _composite_polyline(world, route)
+    pts, flags = _route_points(world, route)
     diffs = np.diff(pts, axis=0)
     seglen = np.linalg.norm(diffs, axis=1)
     if seglen.min() <= 0.0:
@@ -306,17 +266,14 @@ def render_traverse(world: World, route: RouteSpec, seed: int) -> Traverse:
     near = np.where(frac < 0.5, i, i + 1)
     on_detour = flags[near]
 
-    m = world.n_samples
-    base = np.where(on_detour, (srcs[near] + m // 2) % m, srcs[near])
     if route.sigma_app == 0.0:
-        descriptors = world.latents[base]
+        descriptors = world.latents[near]
     else:
-        vec = world.latents[base].astype(np.float64)
+        vec = world.latents[near].astype(np.float64)
         vec = vec + route.sigma_app * noise / math.sqrt(d)
         descriptors = (vec / _row_norms(vec)).astype(np.float32)
-    if not route.detour_alias:
-        fresh = noise[on_detour]
-        descriptors[on_detour] = (fresh / _row_norms(fresh)).astype(np.float32)
+    fresh = noise[on_detour]
+    descriptors[on_detour] = (fresh / _row_norms(fresh)).astype(np.float32)
 
     true_rel = compose_poses(inverse_poses(gt[:-1]), gt[1:])
     dist = translation_norms(true_rel)

@@ -309,17 +309,39 @@ def _detour_typo(spec: dict) -> None:
 
 
 @pytest.mark.parametrize(
-    "mutate",
-    [lambda spec: spec.update(colour="red"), _detour_typo],
-    ids=["top-level", "detour"],
+    "mutate,key",
+    [
+        (lambda spec: spec.update(colour="red"), "colour"),
+        (_detour_typo, "ofset_m"),
+        # a key that scenario files named before route aliasing was removed
+        (lambda spec: spec["query"].update(detour_alias=False), "detour_alias"),
+    ],
+    ids=["top-level", "detour", "detour_alias"],
 )
-def test_scenario_file_with_unknown_key_exits_2(tmp_path, capsys, mutate):
+def test_scenario_file_with_unknown_key_exits_2(tmp_path, capsys, mutate, key):
     spec = builtin_scenarios()["S2"].to_dict()
     mutate(spec)
     scen = tmp_path / "scen.json"
     write_json(scen, spec)
     assert main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)]) == 2
-    _one_error_line(capsys, "config")
+    assert f"unknown keys ['{key}']" in _one_error_line(capsys, "config")
+
+
+def test_rerun_of_manifest_with_detour_geometry_exits_3(tmp_path, smoke_dir, capsys):
+    # manifests written before polyline detours were removed name "geometry": null
+    spec = json.loads((smoke_dir / "scenario.json").read_text())
+    spec["query"]["detours"] = [{"start_s": 150.0, "end_s": 200.0, "offset_m": 14.0}]
+    scen = tmp_path / "scen.json"
+    write_json(scen, spec)
+    run = tmp_path / "run"
+    assert main(["run", "--scenario", str(scen), "--out", str(run)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["scenario"]["query"]["detours"][0]["geometry"] = None
+    old = tmp_path / "old.json"
+    write_json(old, manifest)
+    assert main(["rerun", "--manifest", str(old), "--out", str(tmp_path / "again")]) == 3
+    assert "unknown keys ['geometry']" in _one_error_line(capsys, "data")
 
 
 def test_scenario_object_of_scenario_json_replays(tmp_path, smoke_dir):
@@ -383,6 +405,8 @@ def _eval_edited(tmp_path, smoke_dir, smoke_results, task, line, changes) -> int
         ("wakeup", {"start": -3, "steps_used": 1}, "trial 0 decision frame outside the labels"),
         ("wakeup", {"converged": True, "proposal": -1}, "trial 0 converged with proposal -1,"),
         ("wakeup", {"converged": True, "proposal": None}, "trial 0 converged with proposal None,"),
+        ("wakeup", {"start": 10, "steps_used": -5}, "trial 0 steps_used -5 is below 1"),
+        ("wakeup", {"steps_used": 0}, "trial 0 steps_used 0 is below 1"),
     ],
 )
 def test_negative_frames_and_proposals_exit_3(tmp_path, smoke_dir, smoke_results, capsys,

@@ -82,8 +82,8 @@ def test_unknown_and_missing_keys():
 
 def test_nested_paths_and_own_validation():
     spec = noiseless_scenario().to_dict()
-    spec["query"]["detours"] = [{"start_s": 9.0, "end_s": 40.0, "geometry": [[0, 0], [1]]}]
-    msg = r"query\.detours\[0\]\.geometry\[1\]: expected an array of 2"
+    spec["query"]["detours"] = [{"start_s": 9.0, "end_s": 40.0, "offset_m": "wide"}]
+    msg = r"query\.detours\[0\]\.offset_m: expected a finite number"
     with pytest.raises(ConfigError, match=msg):
         ScenarioSpec.from_dict(spec, where="scen.json")
     spec["query"]["detours"] = [{"start_s": 9.0, "end_s": 4.0}]
@@ -105,12 +105,9 @@ def test_round_trips_keep_their_dicts():
         },
         "task": {"max_steps": 30, "n_trials": 500, "seed": 0},
     }
-    geom = Detour(5.0, 9.0, geometry=((0, 0), (1, 2)))
-    assert geom.to_dict() == {
-        "start_s": 5.0, "end_s": 9.0, "offset_m": 14.0,
-        "geometry": [[0.0, 0.0], [1.0, 2.0]],
-    }
-    assert Detour.from_dict(geom.to_dict()) == geom
+    detour = Detour(5.0, 9.0)
+    assert detour.to_dict() == {"start_s": 5.0, "end_s": 9.0, "offset_m": 14.0}
+    assert Detour.from_dict(detour.to_dict()) == detour
 
 
 def test_readme_config_block_is_the_defaults():
@@ -124,7 +121,7 @@ def test_readme_config_block_is_the_defaults():
 # ---------------------------------------------------------------------------
 # single-field corruptions of documents the package wrote
 
-_OPTIONAL = {"lam", "geometry", "proposal"}
+_OPTIONAL = {"lam", "proposal"}
 _NONINTEGRAL = 2.5
 
 
@@ -247,7 +244,7 @@ def _droppable(kind: str, where, key: str) -> bool:
     if kind == "scenario":
         if len(path) == 1:  # a route spec
             return True
-        return len(path) == 3 and key in ("offset_m", "geometry")  # a detour
+        return len(path) == 3 and key == "offset_m"  # a detour
     return False
 
 

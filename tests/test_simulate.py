@@ -1,5 +1,6 @@
 """Synthetic world generation and traverse rendering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,49 @@ def test_detour_replaces_interval_and_flags_frames():
     assert dev[:60].max() < 1e-9  # before 180 m nothing moved
 
 
+def _displaced(world, detours):
+    """The world's positions with each detour's interior samples moved along
+    their normals, and a flag per moved sample."""
+    pos = world.positions.copy()
+    moved = np.zeros(len(pos), dtype=bool)
+    for det in detours:
+        i0, i1 = round(det.start_s / 0.5), round(det.end_s / 0.5)
+        idx = np.arange(i0 + 1, i1)
+        prof = det.offset_m * np.sin(math.pi * ((idx - i0) / (i1 - i0)))
+        normals = np.stack([-np.sin(world.headings[idx]), np.cos(world.headings[idx])], axis=1)
+        pos[idx] = world.positions[idx] + prof[:, None] * normals
+        moved[idx] = True
+    return pos, moved
+
+
+@pytest.mark.parametrize(
+    "detours",
+    [
+        (Detour(start_s=200.0, end_s=310.0, offset_m=14.0),),
+        # b.start_s == a.end_s: the two share sample 460, which stays on the path
+        (Detour(start_s=150.0, end_s=230.0), Detour(start_s=230.0, end_s=300.0, offset_m=8.0)),
+        (Detour(start_s=200.0, end_s=201.0),),  # one interior sample
+    ],
+    ids=["s2-sized", "adjacent", "two-samples"],
+)
+def test_detour_route_renders_as_the_displaced_path(detours):
+    w = generate_world(8, 600.0, 16)
+    route = RouteSpec(spacing=3.0, sigma_app=2.5, sigma_xy=0.01, sigma_theta=0.0025,
+                      cov_inflation=9.0)
+    pos, moved = _displaced(w, detours)
+    tr = render_traverse(w, dataclasses.replace(route, detours=detours), seed=3)
+    plain = render_traverse(dataclasses.replace(w, positions=pos), route, seed=3)
+    assert np.array_equal(tr.gt_poses, plain.gt_poses)
+    assert np.array_equal(tr.odom_means, plain.odom_means)
+    assert np.array_equal(tr.odom_covs, plain.odom_covs)
+    # a frame is on a detour when its nearest route sample was moved
+    d2 = ((pos[None, :, :] - tr.gt_poses[:, None, :2]) ** 2).sum(axis=2)
+    on_detour = moved[d2.argmin(axis=1)]
+    assert on_detour.any() and not on_detour.all()
+    assert np.array_equal(tr.descriptors[~on_detour], plain.descriptors[~on_detour])
+    assert not (tr.descriptors[on_detour] == plain.descriptors[on_detour]).all(axis=1).any()
+
+
 def test_detour_descriptors_are_novel():
     w = generate_world(9, 600.0, 32)
     det = Detour(start_s=150.0, end_s=450.0, offset_m=14.0)
@@ -148,8 +192,6 @@ def test_detour_validation():
         Detour(start_s=10.0, end_s=10.0)
     with pytest.raises(DataError):
         Detour(start_s=0.0, end_s=5.0, offset_m=0.0)
-    with pytest.raises(DataError):
-        Detour(start_s=0.0, end_s=5.0, geometry=((1.0, 2.0),))
 
 
 def test_route_spec_validation():
