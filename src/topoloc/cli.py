@@ -97,10 +97,19 @@ def _load_config(args) -> Config:
     return cfg
 
 
+def _out_dir(path) -> Path:
+    """``path`` as a directory, made if missing; one that cannot be made is a data error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{out}: cannot write: {exc.strerror}") from exc
+    return out
+
+
 def _cmd_simulate(args) -> int:
     spec = _resolve_scenario(args.scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     _, ref, query = simulate_scenario(spec, args.seed)
     formats.write_traverse(out / "reference.jsonl", ref)
     formats.write_traverse(out / "query.jsonl", query)
@@ -207,9 +216,9 @@ class _Manifest:
             raise DataError(f"manifest names unknown task {self.task!r}")
 
 
-def _execute_run(manifest: _Manifest, out: Path) -> int:
+def _execute_run(manifest: _Manifest, out) -> int:
     cfg = manifest.config
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out)
     _, ref, query = simulate_scenario(manifest.scenario, manifest.seed)
     formats.write_traverse(out / "reference.jsonl", ref)
     formats.write_traverse(out / "query.jsonl", query)
@@ -238,21 +247,20 @@ def _cmd_run(args) -> int:
         tol_m=LABEL_TOL_M,
         tol_deg=LABEL_TOL_DEG,
     )
-    return _execute_run(manifest, Path(args.out))
+    return _execute_run(manifest, args.out)
 
 
 def _cmd_rerun(args) -> int:
     raw = formats.read_json(args.manifest)
     manifest = read_record(_Manifest, raw, DataError, args.manifest)
-    return _execute_run(manifest, Path(args.out))
+    return _execute_run(manifest, args.out)
 
 
 def _cmd_bench(args) -> int:
     report = run_benchmark(args.n_nodes, args.dim, args.repeats, args.seed, args.window)
-    text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        formats.write_json(args.out, report)
+    print(json.dumps(report, indent=2))
     return 0
 
 

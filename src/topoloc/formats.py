@@ -24,12 +24,13 @@ Precision-recall curve (``.csv``)
 
 Writers are deterministic: fixed key order, compact separators, and
 shortest-roundtrip float text, so identical inputs produce identical bytes.
-Readers validate strictly and raise ``DataError`` on any malformed input,
-or on an input path that cannot be read, such as a directory.  Every row of
-every file (traverse frames, band rows and PR-curve rows included) is a
-declared record, cast by the rule of ``_records``: a number must be a JSON
-number, not a string or a boolean, a float must be finite and a count
-integral.
+A path that cannot be written raises ``DataError``.  Labels and curves are
+written for the user; nothing reads them back.  Readers validate strictly
+and raise ``DataError`` on any malformed input, or on an input path that
+cannot be read, such as a directory.  Every row of every file a command
+reads (results, traverse frames and band rows included) is a declared
+record, cast by the rule of ``_records``: a number must be a JSON number,
+not a string or a boolean, a float must be finite and a count integral.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-from dataclasses import astuple, dataclass, fields, make_dataclass
+from dataclasses import dataclass, fields, make_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,8 @@ __all__ = [
     "descriptor_sidecar",
     "read_descriptor_matrix",
     "read_json",
-    "read_labels",
     "read_lcd_result",
     "read_map",
-    "read_pr_curve",
     "read_traverse",
     "read_wakeup_results",
     "write_descriptor_matrix",
@@ -91,13 +90,20 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
+def _write_bytes(path, data: bytes) -> None:
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:  # a missing directory, a directory, or not ours to write
+        raise DataError(f"{path}: cannot write: {exc.strerror}") from exc
+
+
 # one compact encoder for every JSONL line (``json.dumps`` builds one per call)
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
 def write_json(path, obj) -> None:
     """Write a JSON document with a stable layout (2-space indent)."""
-    Path(path).write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+    _write_bytes(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode())
 
 
 def read_json(path):
@@ -143,11 +149,8 @@ def write_descriptor_matrix(path, matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=np.float32)
     if matrix.ndim != 2:
         raise DataError("descriptor matrix must be 2-D")
-    rows, cols = matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", _VERSION, rows, cols))
-        fh.write(np.ascontiguousarray(matrix, dtype="<f4").tobytes())
+    header = _MAGIC + struct.pack("<III", _VERSION, *matrix.shape)
+    _write_bytes(path, header + np.ascontiguousarray(matrix, dtype="<f4").tobytes())
 
 
 def read_descriptor_matrix(path) -> np.ndarray:
@@ -214,7 +217,7 @@ def write_traverse(path, traverse: Traverse) -> None:
         _dumps({"t": t, "gt_pose": gt, "odom": odom})
         for t, (gt, odom) in enumerate(zip(gts, odoms))
     ]
-    p.write_text("\n".join(lines) + "\n")
+    _write_bytes(p, ("\n".join(lines) + "\n").encode())
 
 
 def _float_rows(rows: list, width: int):
@@ -391,7 +394,7 @@ def _write_records(path, kind: str, header, rows) -> None:
     """A header line naming ``kind``, then one line per record."""
     lines = [_dumps({"kind": kind, **record_dict(header)})]
     lines.extend(_dumps(record_dict(row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_bytes(path, ("\n".join(lines) + "\n").encode())
 
 
 def _read_records(path, kind: str, header_cls, row_cls, count: str):
@@ -436,61 +439,20 @@ def write_labels(path, labels: GroundTruthLabel) -> None:
     _write_records(path, "labels", header, rows)
 
 
-def read_labels(path) -> GroundTruthLabel:
-    header, rows = _read_records(path, "labels", _LabelsHeader, _LabelRow, "n_frames")
-    return GroundTruthLabel(
-        within_map=np.array([r.within_map for r in rows], dtype=bool),
-        true_node=np.array([r.true_node for r in rows], dtype=int),
-        ok_nodes=[np.array(r.ok_nodes, dtype=int) for r in rows],
-        tol_m=header.tol_m,
-        tol_deg=header.tol_deg,
-    )
-
-
 # ---------------------------------------------------------------------------
 # precision-recall curves
 
 
-# one row per operating point; the columns are the ``PrCurve`` fields, in order
-_CurveRow = make_dataclass(
-    "_CurveRow",
-    [("threshold", float), ("precision", float), ("recall", float)]
-    + [(name, int) for name in ("tp", "fp", "fn", "tn")],
-)
-_PR_FIELDS = fields(_CurveRow)
-_PR_HEADER = ",".join(f.name for f in _PR_FIELDS)
+# one column per ``PrCurve`` field, in order, and the type it is written as
+_PR_COLUMNS = (("threshold", float), ("precision", float), ("recall", float),
+               ("tp", int), ("fp", int), ("fn", int), ("tn", int))
 
 
 def write_pr_curve(path, curve: PrCurve) -> None:
     cols = [
-        np.asarray(getattr(curve, c.name), dtype=f.type).tolist()
-        for c, f in zip(fields(curve), _PR_FIELDS)
+        np.asarray(getattr(curve, f.name), dtype=kind).tolist()
+        for f, (_, kind) in zip(fields(curve), _PR_COLUMNS)
     ]
-    lines = [_PR_HEADER, *(",".join(map(repr, row)) for row in zip(*cols))]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_pr_curve(path) -> PrCurve:
-    """Read a curve; each field must be a JSON number its column's type accepts."""
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0] != _PR_HEADER:
-        raise DataError(f"{path}: expected header {_PR_HEADER!r}")
-    rows = []
-    for ln_no, ln in enumerate(lines[1:], 2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(_PR_FIELDS):
-            raise DataError(f"{path}:{ln_no}: expected 7 comma-separated fields")
-        try:
-            rec = {f.name: json.loads(v) for f, v in zip(_PR_FIELDS, parts)}
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{ln_no}: not a JSON number: {exc}") from exc
-        rows.append(read_record(_CurveRow, rec, DataError, f"{path}:{ln_no}"))
-    if not rows:
-        raise DataError(f"{path}: curve has no operating points")
-    cols = zip(*(astuple(row) for row in rows))
-    try:
-        return PrCurve(*(np.array(c, dtype=f.type) for c, f in zip(cols, _PR_FIELDS)))
-    except ValueError as exc:
-        raise DataError(f"{path}: inconsistent curve: {exc}") from exc
+    header = ",".join(name for name, _ in _PR_COLUMNS)
+    lines = [header, *(",".join(map(repr, row)) for row in zip(*cols))]
+    _write_bytes(path, ("\n".join(lines) + "\n").encode())

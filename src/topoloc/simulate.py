@@ -332,10 +332,13 @@ def builtin_scenarios() -> dict[str, ScenarioSpec]:
     """The three frozen benchmark scenarios.
 
     S1: full-length pass over a 2 km world with heavy appearance noise and
-    honestly reported wheel odometry.  S2: the same route with roughly one
-    fifth of the query replaced by off-map detours, odometry reported
-    conservatively.  S3: five-fold odometry noise, also reported
-    conservatively.
+    honestly reported wheel odometry (NEES 2.4-2.6, below 3 by the
+    covariance floor).  S2: the same route and appearance noise, with about
+    a fifth of the query (0.20-0.21 of its frames) off the map on detours
+    and odometry a fifth as noisy as S1's, reported nine-fold (NEES 0.22-0.23).
+    S3: S1's query, descriptors, odometry and ground truth bit for bit, with
+    the covariance reported nine-fold (NEES 0.31-0.33).  The figures are
+    for seeds 0-2; ``tests/test_scenarios.py`` holds each within a band.
     """
     ref = RouteSpec(spacing=0.5, sigma_app=0.0, sigma_xy=0.005, sigma_theta=0.001)
     # sigma_app 2.5 puts descriptor matching in the hard cross-condition

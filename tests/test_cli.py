@@ -13,12 +13,16 @@ import pytest
 
 import topoloc
 from topoloc.cli import main
+from topoloc.config import Config
+from topoloc.evaluate import LABEL_TOL_DEG, LABEL_TOL_M, label_ground_truth, score_lcd
 from topoloc.formats import (
     read_lcd_result,
-    read_pr_curve,
+    read_map,
+    read_traverse,
     read_wakeup_results,
     write_json,
     write_map,
+    write_pr_curve,
     write_traverse,
 )
 from topoloc.geometry import Covariance3, OdometryStep, Pose2
@@ -205,8 +209,9 @@ def test_lcd_then_eval_chain(tmp_path, smoke_dir, capsys):
     assert summary["n_items"] == len(parsed.frames)
     # a noiseless query on its own map localizes essentially perfectly
     assert summary["recall_at_precision"]["0.99"] > 0.9
-    curve = read_pr_curve(curve_path)
-    assert curve.n_items == len(parsed.frames)
+    labels = label_ground_truth(read_traverse(data / "query.jsonl"), read_map(data / "map.json"))
+    write_pr_curve(tmp_path / "expected.csv", score_lcd(parsed, labels))
+    assert curve_path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert json.loads(summary_path.read_text()) == summary
     assert labels_path.exists()
 
@@ -460,6 +465,40 @@ def test_bad_node_spacing_flag_exits_2(tmp_path, smoke_dir, capsys, value):
     assert code == 2
     assert "node_spacing must be positive and finite" in _one_error_line(capsys, "config")
     assert not (tmp_path / "map.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["build-map", "lcd", "wakeup", "eval-curve", "eval-summary", "eval-labels",
+     "simulate", "run", "rerun", "bench"],
+)
+def test_unwritable_output_exits_3(tmp_path, smoke_dir, smoke_results, capsys, command):
+    (tmp_path / "file").write_text("a regular file\n")
+    bad = str(tmp_path / "file" / "x")
+    data = smoke_dir / "data"
+    inputs = ["--map", str(data / "map.json"), "--query", str(data / "query.jsonl")]
+    manifest = tmp_path / "manifest.json"
+    write_json(manifest, {"command": "run", "task": "lcd",
+                          "scenario": noiseless_scenario().to_dict(), "seed": 0,
+                          "config": Config().to_dict(), "tol_m": LABEL_TOL_M,
+                          "tol_deg": LABEL_TOL_DEG})
+    evaluate = ["eval", "--task", "lcd", "--results", str(smoke_results["lcd"]), *inputs,
+                "--out-curve", str(tmp_path / "pr.csv")]
+    argv = {
+        "build-map": ["build-map", "--reference", str(data / "reference.jsonl"), "--out", bad],
+        "lcd": ["lcd", *inputs, "--out", bad],
+        "wakeup": ["wakeup", *inputs, "--n-trials", "2", "--out", bad],
+        "eval-curve": [*evaluate[:-1], bad],
+        "eval-summary": [*evaluate, "--out-summary", bad],
+        "eval-labels": [*evaluate, "--out-labels", bad],
+        "simulate": ["simulate", "--scenario", "S0", "--out", bad],
+        "run": ["run", "--scenario", "S0", "--out", bad],
+        "rerun": ["rerun", "--manifest", str(manifest), "--out", bad],
+        "bench": ["bench", "--n-nodes", "20", "--dim", "4", "--repeats", "1", "--out", bad],
+    }[command]
+    assert main(argv) == 3
+    err = _one_error_line(capsys, "data")
+    assert bad in err and ": cannot write: Not a directory" in err  # a sidecar is x.desc.bin
 
 
 def test_negative_seed_exits_3(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The typed-record rule: casts, error paths, and single-field corruptions.
 
 The property tests start from documents the package wrote (an lcd result,
-a wakeup result, a labels file, a config file, a scenario file, a traverse
+a wakeup result, a config file, a scenario file, a traverse
 and the band rows of a map) and change one field, or one number of a
 traverse's poses and covariances or of a band row: set it to null, a
 string, a bool, a non-integral number or NaN, drop it, or add a key beside
@@ -20,7 +20,6 @@ import math
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,7 +29,6 @@ from topoloc._records import read_record
 from topoloc.cli import main
 from topoloc.config import Config
 from topoloc.errors import ConfigError, DataError
-from topoloc.evaluate import label_ground_truth
 from topoloc.mapping import build_map
 from topoloc.measurement import MeasurementParams
 from topoloc.motion import MotionParams
@@ -206,10 +204,9 @@ def written(tmp_path_factory):
     formats.write_wakeup_results(
         root / "wakeup.jsonl", run_wakeup_batch(map_, query, 3, 0, 5, params)
     )
-    formats.write_labels(root / "labels.jsonl", label_ground_truth(query, map_))
     docs = {
         kind: [json.loads(ln) for ln in (root / f"{kind}.jsonl").read_text().splitlines()]
-        for kind in ("lcd", "wakeup", "labels")
+        for kind in ("lcd", "wakeup")
     }
     docs["config"] = [Config().to_dict()]
     docs["scenario"] = [spec.to_dict()]
@@ -255,11 +252,10 @@ def _write_lines(path, doc) -> None:
 _READERS = {
     "lcd": (formats.read_lcd_result, DataError),
     "wakeup": (formats.read_wakeup_results, DataError),
-    "labels": (formats.read_labels, DataError),
     "traverse": (formats.read_traverse, DataError),
     "map": (formats.read_map, DataError),
 }
-_KINDS = ["lcd", "wakeup", "labels", "config", "scenario", "traverse", "map"]
+_KINDS = ["lcd", "wakeup", "config", "scenario", "traverse", "map"]
 
 
 _FIXTURE_OK = [HealthCheck.function_scoped_fixture]  # the fixtures are read-only
@@ -323,7 +319,4 @@ def test_written_documents_read_back(written):
     assert len(formats.read_lcd_result(root / "lcd.jsonl").frames) == len(docs["lcd"]) - 1
     trials = formats.read_wakeup_results(root / "wakeup.jsonl")
     assert all(isinstance(t, WakeupResult) for t in trials) and len(trials) == 3
-    labels = formats.read_labels(root / "labels.jsonl")
-    assert labels.within_map.dtype == bool and not labels.within_map.all()
     assert isinstance(read_record(LcdFrame, docs["lcd"][1], DataError), LcdFrame)
-    assert np.array_equal(labels.true_node, [r["true_node"] for r in docs["labels"][1:]])
