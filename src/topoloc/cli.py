@@ -188,11 +188,21 @@ def _cmd_eval(args) -> int:
     else:
         results = formats.read_wakeup_results(args.results)
     curve, summary = _summarize(args.task, results, labels)
-    formats.write_pr_curve(args.out_curve, curve)
-    if args.out_labels:
-        formats.write_labels(args.out_labels, labels)
-    if args.out_summary:
-        formats.write_json(args.out_summary, summary)
+    outputs = (
+        (formats.write_pr_curve, args.out_curve, curve),
+        (formats.write_labels, args.out_labels, labels),
+        (formats.write_json, args.out_summary, summary),
+    )
+    written = []  # a later output that cannot be written takes these with it
+    try:
+        for write, path, value in outputs:
+            if path:
+                write(path, value)
+                written.append(path)
+    except DataError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
     print(json.dumps(summary, indent=2))
     return 0
 

@@ -6,12 +6,12 @@ Descriptor matrix (``.desc.bin``)
     Binary: magic ``TLDM``, then three little-endian u32 (version, rows,
     cols), then ``rows * cols`` little-endian float32 values, row major.
 Traverse (``.jsonl`` plus sidecar ``.desc.bin``)
-    One JSON object per frame with keys ``t``, ``gt_pose`` (``[x, y, theta]``
-    or null) and ``odom`` (null on the first frame, else ``{"mean": [dx, dy,
-    dtheta], "cov": [xx, xy, xt, yy, yt, tt]}``).  Descriptor row ``t`` of
-    the sidecar belongs to frame ``t``.  The rows are written straight from
-    the columns of one :class:`Traverse`; a file in that form is read back a
-    column at a time, any other row by row as records, to the same values.
+    Single JSON document on one line, with keys ``descriptor_file`` (the
+    sidecar's name), ``odom_means`` (rows ``[dx, dy, dtheta]``),
+    ``odom_covs`` (rows ``[xx, xy, xt, yy, yt, tt]``, the upper triangle)
+    and ``gt_poses`` (rows ``[x, y, theta]``, or null).  Descriptor row
+    ``t`` of the sidecar and ground-truth row ``t`` belong to frame ``t``;
+    odometry row ``k`` is the step into frame ``k + 1``.
 Map (``.json`` plus sidecar ``.desc.bin``)
     Single JSON document; the relative-pose band is stored as rows
     ``[i, j, dx, dy, dtheta]`` for every edge ``i -> j`` the band covers.
@@ -24,18 +24,19 @@ Precision-recall curve (``.csv``)
 
 Writers are deterministic: fixed key order, compact separators, and
 shortest-roundtrip float text, so identical inputs produce identical bytes.
-A path that cannot be written raises ``DataError``.  Labels and curves are
-written for the user; nothing reads them back.  Readers validate strictly
-and raise ``DataError`` on any malformed input, or on an input path that
-cannot be read, such as a directory.  Every row of every file a command
-reads (results, traverse frames and band rows included) is a declared
-record, cast by the rule of ``_records``: a number must be a JSON number,
-not a string or a boolean, a float must be finite and a count integral.
+A path that cannot be written raises ``DataError``; a traverse or map
+document that cannot be written leaves no sidecar behind.  Labels and
+curves are written for the user; nothing reads them back.  Readers validate
+strictly and raise ``DataError`` on any malformed input, or on an input
+path that cannot be read, such as a directory.  Every row of every file a
+command reads (results, traverse odometry and band rows included) is a
+declared record, cast by the rule of ``_records``: a number must be a JSON
+number, not a string or a boolean, a float must be finite and a count
+integral.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import struct
 from dataclasses import dataclass, fields, make_dataclass
@@ -101,9 +102,13 @@ def _write_bytes(path, data: bytes) -> None:
 _dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
+def _indented(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
 def write_json(path, obj) -> None:
     """Write a JSON document with a stable layout (2-space indent)."""
-    _write_bytes(path, (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode())
+    _write_bytes(path, _indented(obj).encode())
 
 
 def read_json(path):
@@ -124,21 +129,6 @@ def _parse_jsonl(path) -> list:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{ln}: invalid JSON: {exc}") from exc
     return records
-
-
-def _read_rows(records, row_cls, where: str) -> list:
-    """One ``row_cls`` per parsed line, named ``where`` and its index.
-
-    Rows with a ``t`` field must hold ``0, 1, 2, ...`` in order.
-    """
-    rows = [
-        read_record(row_cls, rec, DataError, f"{where} {i}")
-        for i, rec in enumerate(records)
-    ]
-    for i, row in enumerate(rows):
-        if getattr(row, "t", i) != i:
-            raise DataError(f"{where} {i}: out-of-order t={row.t}")
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -185,117 +175,70 @@ def descriptor_sidecar(path) -> Path:
     return p.with_name(stem + ".desc.bin")
 
 
+def _write_with_sidecar(path, descriptors: np.ndarray, document: str) -> None:
+    """Write ``descriptors`` to the sidecar of ``path``, then ``document`` to ``path``.
+
+    A document that cannot be written takes its sidecar with it.
+    """
+    sidecar = descriptor_sidecar(path)
+    write_descriptor_matrix(sidecar, descriptors)
+    try:
+        _write_bytes(path, document.encode())
+    except DataError:
+        sidecar.unlink()
+        raise
+
+
 # ---------------------------------------------------------------------------
 # traverses
 
 
-_POSE = tuple[float, float, float]
-# a frame record lists covariance entries xx, xy, xt, yy, yt, tt
+@dataclass(frozen=True)
+class _TraverseDoc:
+    """A traverse document; row ``k`` of the odometry is the step into frame ``k + 1``.
+
+    A covariance is stored as its upper-triangular entries xx, xy, xt, yy,
+    yt, tt; ``gt_poses`` holds one ``[x, y, theta]`` row per frame, or is null.
+    """
+
+    descriptor_file: str
+    odom_means: tuple[tuple[float, float, float], ...]
+    odom_covs: tuple[tuple[float, float, float, float, float, float], ...]
+    gt_poses: tuple[tuple[float, float, float], ...] | None
+
+
 _UPPER_ROWS, _UPPER_COLS = np.triu_indices(3)
-_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3x3 matrix, row major, from those six
-_Odom = make_dataclass(
-    "_Odom", [("mean", _POSE), ("cov", tuple[float, float, float, float, float, float])]
-)
-_FrameRow = make_dataclass(
-    "_FrameRow", [("t", int), ("gt_pose", _POSE | None), ("odom", _Odom | None)]
-)
-_FRAME_KEYS = {f.name for f in fields(_FrameRow)}
-_ODOM_KEYS = {f.name for f in fields(_Odom)}
+_FULL = [0, 1, 2, 1, 3, 4, 2, 4, 5]  # the 3x3 matrix, row major, from the six stored
 
 
 def write_traverse(path, traverse: Traverse) -> None:
-    """Write frames to ``path`` (JSONL) and descriptors to the sidecar file."""
-    p = Path(path)
-    write_descriptor_matrix(descriptor_sidecar(p), traverse.descriptors)
-    gts = traverse.gt_poses.tolist() if traverse.has_gt else [None] * len(traverse)
-    uppers = traverse.odom_covs[:, _UPPER_ROWS, _UPPER_COLS].tolist()
-    odoms = [None] + [
-        {"mean": mean, "cov": cov}
-        for mean, cov in zip(traverse.odom_means.tolist(), uppers)
-    ]
-    lines = [
-        _dumps({"t": t, "gt_pose": gt, "odom": odom})
-        for t, (gt, odom) in enumerate(zip(gts, odoms))
-    ]
-    _write_bytes(p, ("\n".join(lines) + "\n").encode())
-
-
-def _float_rows(rows: list, width: int):
-    """``rows`` as a ``(len(rows), width)`` float array, or ``None``.
-
-    ``None`` unless every row is a list of ``width`` finite JSON floats.
-    """
-    if set(map(type, rows)) - {list} or set(map(len, rows)) - {width}:
-        return None
-    if set(map(type, itertools.chain.from_iterable(rows))) - {float}:
-        return None
-    a = np.array(rows, dtype=float).reshape(-1, width)
-    return a if np.isfinite(a).all() else None
-
-
-def _cast_frame_columns(records: list):
-    """Odometry means, covariance entries and ground truth of ``records``, cast at once.
-
-    The columns ``_row_frame_columns`` reads, for a file in the form
-    :func:`write_traverse` writes: every frame has exactly the declared keys,
-    ``t`` is ``0..T-1`` as ints, only the first frame lacks odometry, ground
-    truth is on every frame or none, and every number is a finite float.
-    Any other file returns ``None``, to go through the row rule.
-    """
-    if any(type(r) is not dict or r.keys() != _FRAME_KEYS for r in records):
-        return None
-    ts = [r["t"] for r in records]
-    if {type(t) for t in ts} - {int} or ts != list(range(len(ts))):
-        return None
-    odoms = [r["odom"] for r in records]
-    if odoms[:1] != [None] or any(
-        type(o) is not dict or o.keys() != _ODOM_KEYS for o in odoms[1:]
-    ):
-        return None
-    gts = [r["gt_pose"] for r in records]
-    no_gt = gts.count(None) == len(gts)
-    gt = None if no_gt else _float_rows(gts, 3)
-    means = _float_rows([o["mean"] for o in odoms[1:]], 3)
-    covs = _float_rows([o["cov"] for o in odoms[1:]], 6)
-    if means is None or covs is None or (gt is None and not no_gt):
-        return None
-    return means, covs, gt
-
-
-def _row_frame_columns(p: Path, records: list):
-    """The frame columns of ``records`` read row by row, by the record rule."""
-    rows = _read_rows(records, _FrameRow, f"{p} frame")
-    if rows and rows[0].odom is not None:
-        raise DataError(f"{p} frame 0: the first frame must not carry odometry")
-    odoms = [row.odom for row in rows[1:]]
-    if None in odoms:
-        raise DataError(f"{p} frame {odoms.index(None) + 1}: odom: must not be null")
-    gts = [row.gt_pose for row in rows if row.gt_pose is not None]
-    if len(gts) not in (0, len(rows)):
-        raise DataError(f"{p}: ground truth must be present on all frames or none")
-    means = np.array([o.mean for o in odoms]).reshape(-1, 3)
-    covs = np.array([o.cov for o in odoms]).reshape(-1, 6)
-    return means, covs, np.array(gts) if gts else None
+    """Write a traverse document to ``path`` and its descriptors to the sidecar."""
+    doc = {  # the fields of ``_TraverseDoc``, straight from the columns
+        "descriptor_file": descriptor_sidecar(path).name,
+        "odom_means": traverse.odom_means.tolist(),
+        "odom_covs": traverse.odom_covs[:, _UPPER_ROWS, _UPPER_COLS].tolist(),
+        "gt_poses": traverse.gt_poses.tolist() if traverse.has_gt else None,
+    }
+    _write_with_sidecar(path, traverse.descriptors, _dumps(doc) + "\n")
 
 
 def read_traverse(path) -> Traverse:
-    """Read a traverse; a file in the written form is cast a column at a time.
-
-    Every other file is read row by row by the record rule, which raises
-    the error that names the first bad frame.  Both give the same values.
-    """
+    """Read a traverse document and the descriptor file it names."""
     p = Path(path)
-    matrix = read_descriptor_matrix(descriptor_sidecar(p))
-    records = _parse_jsonl(p)
-    if len(records) != matrix.shape[0]:
-        raise DataError(
-            f"{p}: {len(records)} frames but descriptor file has "
-            f"{matrix.shape[0]} rows"
-        )
-    means, covs, gts = _cast_frame_columns(records) or _row_frame_columns(p, records)
-    covs = covs[:, _FULL].reshape(-1, 3, 3)
+    doc = read_record(_TraverseDoc, read_json(p), DataError, str(p))
+    matrix = read_descriptor_matrix(p.parent / doc.descriptor_file)
+    n = matrix.shape[0]
+    for name, rows in (("odom_means", n - 1), ("odom_covs", n - 1), ("gt_poses", n)):
+        got = getattr(doc, name)
+        if got is not None and len(got) != rows:
+            raise DataError(
+                f"{p}: {name}: {len(got)} rows, expected {rows} "
+                f"for the {n} frames of {doc.descriptor_file}"
+            )
+    covs = np.array(doc.odom_covs).reshape(-1, 6)[:, _FULL].reshape(-1, 3, 3)
+    gts = None if doc.gt_poses is None else np.array(doc.gt_poses)
     try:
-        return Traverse(matrix, means, covs, gts)
+        return Traverse(matrix, np.array(doc.odom_means).reshape(-1, 3), covs, gts)
     except DataError as exc:
         raise DataError(f"{p}: {exc}") from None
 
@@ -320,9 +263,6 @@ class _MapDoc:
 
 def write_map(path, map_: TopometricMap) -> None:
     """Write a map document to ``path`` and its descriptors to the sidecar."""
-    p = Path(path)
-    sidecar = descriptor_sidecar(p)
-    write_descriptor_matrix(sidecar, map_.descriptors)
     i, k = np.nonzero(~np.isnan(map_.band[:, 1:, 0]))
     band_rows = [
         [a, a + b + 1, *pose]
@@ -333,12 +273,12 @@ def write_map(path, map_: TopometricMap) -> None:
         window=map_.window,
         node_spacing=map_.node_spacing,
         descriptor_dim=map_.descriptor_dim,
-        descriptor_file=sidecar.name,
+        descriptor_file=descriptor_sidecar(path).name,
         band=band_rows,
         gt_poses=None if map_.gt_poses is None else map_.gt_poses.tolist(),
         frame_indices=map_.frame_indices,
     )
-    write_json(p, record_dict(doc))
+    _write_with_sidecar(path, map_.descriptors, _indented(record_dict(doc)))
 
 
 def read_map(path) -> TopometricMap:
@@ -411,7 +351,14 @@ def _read_records(path, kind: str, header_cls, row_cls, count: str):
     header = read_record(header_cls, head, DataError, f"{path} header")
     if len(records) - 1 != getattr(header, count):
         raise DataError(f"{path}: record count does not match header {count}")
-    return header, _read_rows(records[1:], row_cls, f"{path} record")
+    rows = [
+        read_record(row_cls, rec, DataError, f"{path} record {i}")
+        for i, rec in enumerate(records[1:])
+    ]
+    for i, row in enumerate(rows):
+        if getattr(row, "t", i) != i:
+            raise DataError(f"{path} record {i}: out-of-order t={row.t}")
+    return header, rows
 
 
 def write_lcd_result(path, result: LcdResult) -> None:

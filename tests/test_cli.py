@@ -120,34 +120,36 @@ def test_degenerate_likelihood_exits_4(tmp_path):
     assert code == 4
 
 
+def _edited_query(tmp_path, data, edit):
+    """``q.jsonl``: the smoke query's document after ``edit``, beside a copy of its sidecar."""
+    doc = json.loads((data / "query.jsonl").read_text())
+    edit(doc)
+    doc["descriptor_file"] = "q.desc.bin"
+    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
+    (tmp_path / "q.jsonl").write_text(json.dumps(doc) + "\n")
+    return tmp_path / "q.jsonl"
+
+
 @pytest.mark.parametrize("field", [0, 2], ids=["dx", "dtheta"])
 def test_nan_odometry_exits_3(tmp_path, smoke_dir, field):
     data = smoke_dir / "data"
-    lines = (data / "query.jsonl").read_text().splitlines()
-    rec = json.loads(lines[5])
-    rec["odom"]["mean"][field] = float("nan")
-    lines[5] = json.dumps(rec)
-    (tmp_path / "q.jsonl").write_text("\n".join(lines) + "\n")
-    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
-    code = main(["lcd", "--map", str(data / "map.json"),
-                 "--query", str(tmp_path / "q.jsonl"),
+    query = _edited_query(
+        tmp_path, data, lambda doc: doc["odom_means"][4].__setitem__(field, float("nan"))
+    )
+    code = main(["lcd", "--map", str(data / "map.json"), "--query", str(query),
                  "--out", str(tmp_path / "r.jsonl")])
     assert code == 3
 
 
 def test_string_and_bool_odometry_exit_3(tmp_path, smoke_dir, capsys):
     data = smoke_dir / "data"
-    lines = (data / "query.jsonl").read_text().splitlines()
-    rec = json.loads(lines[1])
-    rec["odom"]["mean"] = ["1.5", True, 0]
-    lines[1] = json.dumps(rec)
-    (tmp_path / "q.jsonl").write_text("\n".join(lines) + "\n")
-    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
-    code = main(["lcd", "--map", str(data / "map.json"),
-                 "--query", str(tmp_path / "q.jsonl"),
+    query = _edited_query(
+        tmp_path, data, lambda doc: doc["odom_means"].__setitem__(0, ["1.5", True, 0])
+    )
+    code = main(["lcd", "--map", str(data / "map.json"), "--query", str(query),
                  "--out", str(tmp_path / "r.jsonl")])
     assert code == 3
-    assert "frame 1: odom.mean[0]: expected a finite number" in _one_error_line(capsys, "data")
+    assert "q.jsonl: odom_means[0][0]: expected a finite number" in _one_error_line(capsys, "data")
 
 
 @pytest.mark.parametrize("mode", ["full", "no_off"])
@@ -155,15 +157,15 @@ def test_string_and_bool_odometry_exit_3(tmp_path, smoke_dir, capsys):
 def test_overflowing_odometry_exits_3(tmp_path, smoke_dir, capsys, task, mode):
     # a reader-valid step whose squared Mahalanobis distance to every edge overflows
     data = smoke_dir / "data"
-    lines = (data / "query.jsonl").read_text().splitlines()
-    rec = json.loads(lines[5])
-    rec["odom"] = {"mean": [100.0, 0.0, 0.0], "cov": [1e-306, 0, 0, 1e-306, 0, 1e-306]}
-    lines[5] = json.dumps(rec)
-    (tmp_path / "q.jsonl").write_text("\n".join(lines) + "\n")
-    shutil.copy(data / "query.desc.bin", tmp_path / "q.desc.bin")
+
+    def edit(doc):
+        doc["odom_means"][4] = [100.0, 0.0, 0.0]
+        doc["odom_covs"][4] = [1e-306, 0, 0, 1e-306, 0, 1e-306]
+
+    query = _edited_query(tmp_path, data, edit)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"filter": {"mode": mode}}))
-    code = main([task, "--map", str(data / "map.json"), "--query", str(tmp_path / "q.jsonl"),
+    code = main([task, "--map", str(data / "map.json"), "--query", str(query),
                  "--out", str(tmp_path / "r.jsonl"), "--config", str(cfg)])
     assert code == 3
     assert "odometry step [100.0, 0.0, 0.0] overflows" in _one_error_line(capsys, "data")
@@ -499,6 +501,8 @@ def test_unwritable_output_exits_3(tmp_path, smoke_dir, smoke_results, capsys, c
     assert main(argv) == 3
     err = _one_error_line(capsys, "data")
     assert bad in err and ": cannot write: Not a directory" in err  # a sidecar is x.desc.bin
+    if command in ("eval-summary", "eval-labels"):  # the curve written first is removed
+        assert not (tmp_path / "pr.csv").exists()
 
 
 def test_negative_seed_exits_3(tmp_path, capsys):

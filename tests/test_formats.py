@@ -1,6 +1,7 @@
 """Round-trips and strict-reader behavior for every on-disk format."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ import pytest
 from topoloc.errors import DataError
 from topoloc.evaluate import label_ground_truth, score_lcd
 from topoloc.formats import (
-    _cast_frame_columns,
-    _row_frame_columns,
     descriptor_sidecar,
     read_descriptor_matrix,
     read_lcd_result,
@@ -113,160 +112,110 @@ def test_traverse_without_gt_roundtrip(tmp_path):
 
 
 def test_traverse_write_is_deterministic(tmp_path):
+    # same basename in two directories: the document embeds the sidecar name
     tr = _small_traverse()
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    (tmp_path / "one").mkdir()
+    (tmp_path / "two").mkdir()
+    a, b = tmp_path / "one" / "q.jsonl", tmp_path / "two" / "q.jsonl"
     write_traverse(a, tr)
     write_traverse(b, read_traverse(a))
     assert a.read_bytes() == b.read_bytes()
     assert descriptor_sidecar(a).read_bytes() == descriptor_sidecar(b).read_bytes()
 
 
-def test_traverse_reader_is_strict(tmp_path):
-    tr = _small_traverse()
-    p = tmp_path / "q.jsonl"
-    write_traverse(p, tr)
+def _rewrite_document(tmp_path, name, edit):
+    """A copy of a written traverse whose document went through ``edit``.
 
-    lines = p.read_text().splitlines()
-
-    # frame count must match the sidecar row count
-    (tmp_path / "short.jsonl").write_text("\n".join(lines[:-1]) + "\n")
-    descriptor_sidecar(tmp_path / "short.jsonl").write_bytes(
-        descriptor_sidecar(p).read_bytes()
-    )
-    with pytest.raises(DataError):
-        read_traverse(tmp_path / "short.jsonl")
-
-    # unknown key
-    mangled = lines[:]
-    mangled[0] = mangled[0][:-1] + ',"extra":1}'
-    (tmp_path / "extra.jsonl").write_text("\n".join(mangled) + "\n")
-    descriptor_sidecar(tmp_path / "extra.jsonl").write_bytes(
-        descriptor_sidecar(p).read_bytes()
-    )
-    with pytest.raises(DataError):
-        read_traverse(tmp_path / "extra.jsonl")
-
-    # out-of-order t
-    swapped = [lines[1], lines[0]] + lines[2:]
-    (tmp_path / "order.jsonl").write_text("\n".join(swapped) + "\n")
-    descriptor_sidecar(tmp_path / "order.jsonl").write_bytes(
-        descriptor_sidecar(p).read_bytes()
-    )
-    with pytest.raises(DataError):
-        read_traverse(tmp_path / "order.jsonl")
-
-    # non-positive-definite covariance
-    broken = [ln.replace("0.04", "-0.04") for ln in lines]
-    (tmp_path / "cov.jsonl").write_text("\n".join(broken) + "\n")
-    descriptor_sidecar(tmp_path / "cov.jsonl").write_bytes(
-        descriptor_sidecar(p).read_bytes()
-    )
-    with pytest.raises(DataError):
-        read_traverse(tmp_path / "cov.jsonl")
-
-
-def _rewrite_frames(tmp_path, name, edit):
-    """A copy of a written traverse whose frame records went through ``edit``."""
+    The copy names the written sidecar, ``src.desc.bin``, which sits beside it.
+    """
     src = tmp_path / "src.jsonl"
     write_traverse(src, _small_traverse())
-    recs = [json.loads(ln) for ln in src.read_text().splitlines()]
-    edit(recs)
+    doc = json.loads(src.read_text())
+    edit(doc)
     p = tmp_path / f"{name}.jsonl"
-    p.write_text("\n".join(json.dumps(r) for r in recs) + "\n")
-    descriptor_sidecar(p).write_bytes(descriptor_sidecar(src).read_bytes())
+    p.write_text(json.dumps(doc) + "\n")
     return p
 
 
-def _odom_on_first(recs):
-    recs[0]["odom"] = recs[1]["odom"]
+def _old_frame_lines(doc):
+    """The traverse as one object per frame, the form this package once wrote."""
+    odoms = [None] + [{"mean": m, "cov": c} for m, c in zip(doc["odom_means"], doc["odom_covs"])]
+    return "\n".join(
+        json.dumps({"t": t, "gt_pose": gt, "odom": odom})
+        for t, (gt, odom) in enumerate(zip(doc["gt_poses"], odoms))
+    )
 
 
-def _null_odom_later(recs):
-    recs[3]["odom"] = None
+def _set(name, row, col, value):
+    """An edit that sets row ``row`` of ``name``, or its entry ``col``, to ``value``."""
+    def edit(doc):
+        if col is None:
+            doc[name][row] = value
+        else:
+            doc[name][row][col] = value
+
+    return edit
 
 
-def _partial_gt(recs):
-    recs[4]["gt_pose"] = None
+def test_traverse_reader_is_strict(tmp_path):
+    cases = [
+        (lambda doc: doc["gt_poses"].pop(),
+         "gt_poses: 7 rows, expected 8 for the 8 frames of src.desc.bin"),
+        (lambda doc: doc["odom_covs"].pop(),
+         "odom_covs: 6 rows, expected 7 for the 8 frames of src.desc.bin"),
+        (lambda doc: doc["odom_means"].pop(),
+         "odom_means: 6 rows, expected 7 for the 8 frames of src.desc.bin"),
+        (_set("odom_covs", 3, 0, -0.04), "odometry covariance of frame 4 must be positive definite"),
+        (_set("odom_means", 2, 1, "0.02"), "odom_means[2][1]: expected a finite number"),
+    ]
+    for i, (edit, message) in enumerate(cases):
+        p = _rewrite_document(tmp_path, f"bad{i}", edit)
+        with pytest.raises(DataError) as info:
+            read_traverse(p)
+        assert str(info.value).startswith(f"{p}: {message}"), info.value
+
+    # the sidecar the document names must exist
+    p = _rewrite_document(tmp_path, "gone", lambda doc: doc.update(descriptor_file="gone.desc.bin"))
+    with pytest.raises(DataError, match="gone.desc.bin: cannot read: No such file"):
+        read_traverse(p)
+
+    # one object per frame, the old form, is no traverse document
+    old = tmp_path / "old.jsonl"
+    old.write_text(_old_frame_lines(json.loads((tmp_path / "src.jsonl").read_text())) + "\n")
+    shutil.copy(tmp_path / "src.desc.bin", tmp_path / "old.desc.bin")
+    with pytest.raises(DataError) as info:
+        read_traverse(old)
+    assert str(info.value).startswith(f"{old}: invalid JSON: Extra data")
+    one_frame = tmp_path / "one.jsonl"
+    one_frame.write_text(old.read_text().splitlines()[0] + "\n")
+    with pytest.raises(DataError) as info:
+        read_traverse(one_frame)
+    assert str(info.value).startswith(f"{one_frame}: unknown keys ['gt_pose', 'odom', 't']")
 
 
+# A cast by the record rule: ints read as the same floats, anything else
+# that is not an array of finite numbers of the declared width fails.
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (_odom_on_first, "frame 0: the first frame must not carry odometry"),
-        (_null_odom_later, "frame 3: odom"),
-        (_partial_gt, "ground truth must be present on all frames or none"),
+        (lambda doc: doc["odom_means"].insert(0, doc["odom_means"][0]),
+         ": odom_means: 8 rows, expected 7 for the 8 frames of src.desc.bin"),
+        (_set("odom_means", 2, None, None), ": odom_means[2]: expected an array of 3, got None"),
+        (_set("gt_poses", 4, None, None), ": gt_poses[4]: expected an array of 3, got None"),
+        (_set("gt_poses", 2, 0, 2), None),  # was 2.0
+        (_set("odom_covs", 0, 1, 0), None),  # was 0.0
+        (_set("odom_means", 1, 0, True), ": odom_means[1][0]: expected a finite number, got True"),
+        (_set("gt_poses", 2, 1, float("nan")),  # json.dumps writes the token NaN
+         ": gt_poses[2][1]: expected a finite number, got nan"),
+        (lambda doc: doc["odom_means"][2].pop(),
+         ": odom_means[2]: expected an array of 3, got [1.0, 0.03]"),
+        (lambda doc: doc.update(extra=1), ": unknown keys ['extra']"),
     ],
-    ids=["odom-on-frame-0", "null-odom-later", "partial-gt"],
+    ids=["odom-on-frame-0", "null-odom-later", "partial-gt", "int-pose", "int-cov", "true",
+         "nan-token", "short-mean", "extra-key"],
 )
 def test_traverse_row_rules(tmp_path, edit, message):
-    p = _rewrite_frames(tmp_path, "bad", edit)
-    with pytest.raises(DataError) as info:
-        read_traverse(p)
-    assert str(info.value).startswith(str(p))
-    assert message in str(info.value)
-
-
-def test_written_traverse_is_cast_by_column(tmp_path):
-    src = tmp_path / "src.jsonl"
-    for with_gt in (True, False):
-        write_traverse(src, _small_traverse(with_gt))
-        recs = [json.loads(ln) for ln in src.read_text().splitlines()]
-        fast = _cast_frame_columns(recs)
-        rows = _row_frame_columns(src, recs)
-        assert fast is not None
-        for a, b in zip(fast, rows):
-            assert (a is None and b is None) or (a.dtype == b.dtype and a.tolist() == b.tolist())
-
-
-def _integral_pose(recs):
-    recs[2]["gt_pose"][0] = 2  # was 2.0
-
-
-def _integral_cov(recs):
-    recs[1]["odom"]["cov"][1] = 0  # was 0.0
-
-
-def _true_mean(recs):
-    recs[2]["odom"]["mean"][0] = True
-
-
-def _nan_pose(recs):
-    recs[2]["gt_pose"][1] = float("nan")  # json.dumps writes the token NaN
-
-
-def _short_mean(recs):
-    recs[3]["odom"]["mean"] = recs[3]["odom"]["mean"][:2]
-
-
-def _extra_key(recs):
-    recs[5]["extra"] = 1
-
-
-def _swapped_t(recs):
-    recs[1], recs[2] = recs[2], recs[1]
-
-
-# Files the written form does not cover take the row rule: the same values
-# or the same error as a reader that checks every row.
-@pytest.mark.parametrize(
-    "edit,message",
-    [
-        (_integral_pose, None),
-        (_integral_cov, None),
-        (_true_mean, " frame 2: odom.mean[0]: expected a finite number, got True"),
-        (_nan_pose, " frame 2: gt_pose[1]: expected a finite number, got nan"),
-        (_short_mean, " frame 3: odom.mean: expected an array of 3, got [1.0, 0.03]"),
-        (_extra_key, " frame 5: unknown keys ['extra']"),
-        (_swapped_t, " frame 1: out-of-order t=2"),
-        (_partial_gt, ": ground truth must be present on all frames or none"),
-    ],
-    ids=["int-pose", "int-cov", "true", "nan-token", "short-mean", "extra-key",
-         "out-of-order-t", "partial-gt"],
-)
-def test_traverse_outside_the_written_form_reads_by_row(tmp_path, edit, message):
-    p = _rewrite_frames(tmp_path, "bad", edit)
-    recs = [json.loads(ln) for ln in p.read_text().splitlines()]
-    assert _cast_frame_columns(recs) is None
+    p = _rewrite_document(tmp_path, "bad", edit)
     if message is None:
         back, tr = read_traverse(p), _small_traverse()
         for name in ("descriptors", "odom_means", "odom_covs", "gt_poses"):
@@ -276,6 +225,38 @@ def test_traverse_outside_the_written_form_reads_by_row(tmp_path, edit, message)
     with pytest.raises(DataError) as info:
         read_traverse(p)
     assert str(info.value) == f"{p}{message}"
+
+
+def _gt_on_some_frames(doc):
+    for row in (3, 6, 7):
+        doc["gt_poses"][row] = None
+
+
+# The writer puts ground truth on every frame or on none; a document with it
+# on some frames only is read row by row, and the first bad row is named.
+@pytest.mark.parametrize(
+    "edit,message",
+    [(_gt_on_some_frames, ": gt_poses[3]: expected an array of 3, got None")],
+    ids=["partial-gt"],
+)
+def test_traverse_outside_the_written_form_reads_by_row(tmp_path, edit, message):
+    p = _rewrite_document(tmp_path, "bad", edit)
+    with pytest.raises(DataError) as info:
+        read_traverse(p)
+    assert str(info.value) == f"{p}{message}"
+
+
+@pytest.mark.parametrize("kind", ["traverse", "map"])
+def test_unwritable_document_leaves_no_sidecar(tmp_path, kind):
+    tr = _small_traverse()
+    doc = tmp_path / ("t.jsonl" if kind == "traverse" else "m.json")
+    doc.mkdir()
+    with pytest.raises(DataError, match=f"^{doc}: cannot write: Is a directory"):
+        if kind == "traverse":
+            write_traverse(doc, tr)
+        else:
+            write_map(doc, build_map(tr, 2.0, 3))
+    assert not descriptor_sidecar(doc).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ on any change, and the CLI must exit 2 or 3 on every breach, never 1.
 import dataclasses
 import json
 import math
-import shutil
 from pathlib import Path
 
 import pytest
@@ -119,7 +118,7 @@ def test_readme_config_block_is_the_defaults():
 # ---------------------------------------------------------------------------
 # single-field corruptions of documents the package wrote
 
-_OPTIONAL = {"lam", "proposal"}
+_OPTIONAL = {"lam", "proposal", "gt_poses"}
 _NONINTEGRAL = 2.5
 
 
@@ -210,7 +209,7 @@ def written(tmp_path_factory):
     }
     docs["config"] = [Config().to_dict()]
     docs["scenario"] = [spec.to_dict()]
-    docs["traverse"] = [json.loads(ln) for ln in (root / "query.jsonl").read_text().splitlines()]
+    docs["traverse"] = [json.loads((root / "query.jsonl").read_text())]
     docs["map"] = json.loads((root / "map.json").read_text())["band"]
     return root, docs
 
@@ -219,17 +218,15 @@ _ARRAYS = {"traverse", "map"}  # kinds whose changes may hit one number of an ar
 
 
 def _write_mutated(root, kind, doc, name):
-    """Write ``doc`` as a file of ``kind``; a traverse or map gets its sidecar."""
+    """Write ``doc`` as a file of ``kind``; a traverse or map names the sidecar beside it."""
     if kind == "map":
         full = json.loads((root / "map.json").read_text())
         full["band"] = doc
         path = root / f"{name}.json"
-        path.write_text(json.dumps(full))  # the sidecar it names sits beside it
+        path.write_text(json.dumps(full))
         return path
     path = root / f"{name}.jsonl"
-    _write_lines(path, doc)
-    if kind == "traverse":
-        shutil.copy(root / "query.desc.bin", root / f"{name}.desc.bin")
+    _write_lines(path, doc)  # a traverse is its one document, on one line
     return path
 
 
